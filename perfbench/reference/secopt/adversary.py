@@ -1,0 +1,122 @@
+"""Estimators an eavesdropper can run on the public query stream.
+
+Each strategy consumes only the ordered query points (the public view of a
+transcript) plus its own randomness, and returns a point estimate of the
+optimizer.  Success downstream means landing within eps_adv of the truth.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import PackingError, ParameterError
+
+_OFFSET_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class AdversaryEstimate:
+    point: float
+    strategy: str
+    fell_back: bool = False
+
+
+def _check_queries(queries: np.ndarray) -> np.ndarray:
+    arr = np.asarray(queries, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError("adversary needs a non-empty 1-d query stream")
+    return arr
+
+
+def proportional_sample(queries: np.ndarray, rng: np.random.Generator) -> AdversaryEstimate:
+    """Guess a query point uniformly at random: heavily queried regions win."""
+    arr = _check_queries(queries)
+    return AdversaryEstimate(
+        point=float(arr[rng.integers(arr.size)]), strategy="Proportional"
+    )
+
+
+def packing_ball_sample(
+    queries: np.ndarray,
+    radius: float,
+    centers: np.ndarray,
+    rng: np.random.Generator,
+) -> AdversaryEstimate:
+    """Guess the packing center whose ball absorbed the sampled query.
+
+    Centers must be pairwise >= 2*radius apart; each center is returned with
+    probability (#queries within radius of it)/T, and the residual mass falls
+    back to proportional sampling among the out-of-ball queries.
+    """
+    arr = _check_queries(queries)
+    if not radius > 0.0:
+        raise ParameterError(f"radius must be positive, got {radius}")
+    cen = np.sort(np.asarray(centers, dtype=float))
+    if cen.size == 0:
+        raise PackingError("no packing centers supplied")
+    if cen.size > 1 and np.min(np.diff(cen)) < 2.0 * radius - 1e-12:
+        raise PackingError(
+            f"centers are not a 2r-packing: min gap {np.min(np.diff(cen)):.6g} < {2 * radius:.6g}"
+        )
+    x = float(arr[rng.integers(arr.size)])
+    k = int(np.argmin(np.abs(cen - x)))
+    if abs(cen[k] - x) <= radius:
+        return AdversaryEstimate(point=float(cen[k]), strategy="PackingBall")
+    return AdversaryEstimate(point=x, strategy="PackingBall", fell_back=True)
+
+
+def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
+    # counts, per offset, of offsets equal to it modulo the cluster width
+    diff = np.abs(offsets[:, None] - offsets[None, :])
+    diff = np.minimum(diff, width - diff)
+    return (diff <= _OFFSET_TOL).sum(axis=1)
+
+
+def posterior_interval_adversary(
+    queries: np.ndarray,
+    eps: float,
+    s_count: int,
+    rng: np.random.Generator,
+) -> AdversaryEstimate:
+    """Exploit the final replicated phase: its S clusters carry all posterior mass.
+
+    The last S queries should be one offset mirrored across the S subintervals;
+    the posterior over the optimizer is then uniform over the clusters, so one
+    cluster center is returned uniformly at random.  A single cluster that
+    disagrees with the common offset betrays the learner and is returned
+    outright; any other asymmetry falls back to proportional sampling.
+    """
+    arr = _check_queries(queries)
+    if s_count < 2:
+        raise ParameterError(f"s_count must be >= 2, got {s_count}")
+    if not eps > 0.0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    if arr.size < s_count:
+        return AdversaryEstimate(
+            point=float(arr[rng.integers(arr.size)]),
+            strategy="PosteriorInterval", fell_back=True,
+        )
+    last = np.sort(arr[-s_count:])
+    gaps = np.diff(last)
+    if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
+        return AdversaryEstimate(
+            point=float(last[rng.integers(s_count)]), strategy="PosteriorInterval"
+        )
+    width = float(np.median(gaps))
+    if width > 0.0:
+        agree = _circular_agreement(np.mod(last, width), width)
+        outliers = np.nonzero(agree == 1)[0]
+        if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
+            return AdversaryEstimate(
+                point=float(last[outliers[0]]), strategy="PosteriorInterval"
+            )
+    return AdversaryEstimate(
+        point=float(arr[rng.integers(arr.size)]),
+        strategy="PosteriorInterval", fell_back=True,
+    )
+
+
+def uniform_naive(rng: np.random.Generator) -> AdversaryEstimate:
+    """Ignore the transcript entirely; guess uniformly on [0, 1]."""
+    return AdversaryEstimate(point=float(rng.uniform(0.0, 1.0)), strategy="UniformNaive")

@@ -1,0 +1,200 @@
+"""Query-complexity bounds and the Gaussian-oracle KL divergence.
+
+Lower bounds are order statements; the constant c is exposed so callers can
+compare against measurements without pretending the analysis pins it down.
+Upper-bound rates omit polylogarithmic factors for the same reason.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ParameterError
+from .functions import HardPair
+
+
+def binary_entropy(delta: float) -> float:
+    """Natural-log binary entropy; 0 by continuity at the endpoints."""
+    if not 0.0 <= delta <= 1.0:
+        raise ParameterError(f"delta must lie in [0, 1], got {delta}")
+    if delta in (0.0, 1.0):
+        return 0.0
+    return -delta * math.log(delta) - (1.0 - delta) * math.log(1.0 - delta)
+
+
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+
+
+def lower_bound_binary(
+    eps: float, eps_adv: float, delta: float, delta_adv: float, c: float = 1.0
+) -> float:
+    """Secure query complexity floor for exact binary search:
+    c * (1-delta)/delta_adv * ln(eps_adv/eps)."""
+    if not eps > 0.0 or not eps_adv > 0.0:
+        raise ParameterError("eps and eps_adv must be positive")
+    if not 0.0 <= delta < 1.0:
+        raise ParameterError(f"delta must lie in [0, 1), got {delta}")
+    _check_probability("delta_adv", delta_adv)
+    if not (2.0 * eps <= eps_adv <= delta_adv / 2.0):
+        warnings.warn(
+            f"outside the regime 2*eps <= eps_adv <= delta_adv/2 "
+            f"(eps={eps}, eps_adv={eps_adv}, delta_adv={delta_adv}); "
+            "the bound may be vacuous",
+            stacklevel=2,
+        )
+    return c * (1.0 - delta) / delta_adv * math.log(eps_adv / eps)
+
+
+def c_of_p(p: float) -> float:
+    """Per-query information constant of the p-correct sign oracle:
+    (2p-1) * ln(p/(1-p)).  Tends to 0 as p -> 1/2."""
+    if not 0.5 < p < 1.0:
+        raise ParameterError(f"p must lie in (0.5, 1), got {p}")
+    return (2.0 * p - 1.0) * math.log(p / (1.0 - p))
+
+
+def lower_bound_noisy(
+    eps: float, eps_adv: float, delta: float, delta_adv: float, p: float, c: float = 1.0
+) -> float:
+    """Noisy-sign floor: the exact-oracle bound inflated by 1/c(p)."""
+    return lower_bound_binary(eps, eps_adv, delta, delta_adv, c) / c_of_p(p)
+
+
+def lower_bound_convex(
+    eps: float,
+    delta: float,
+    delta_adv: float,
+    kappa: float,
+    sigma: float,
+    error_kind: str = "function",
+    c: float = 1.0,
+    eps_adv: float | None = None,
+    d: int = 1,
+) -> float:
+    """Gaussian first-order floor: c * sigma^2 * (ln 2 - h2(delta)) / (delta_adv * eps^q)
+    with q = (2*kappa-2)/kappa for function error and 2*kappa-2 for point error."""
+    if not eps > 0.0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    _check_probability("delta_adv", delta_adv)
+    if not kappa > 1.0:
+        raise ParameterError(f"kappa must exceed 1, got {kappa}")
+    if not sigma > 0.0:
+        raise ParameterError(f"sigma must be positive, got {sigma}")
+    if error_kind not in ("function", "point"):
+        raise ParameterError(f"error_kind must be 'function' or 'point', got {error_kind!r}")
+    if not 0.0 <= delta < 0.5:
+        raise ParameterError(
+            f"delta must lie in [0, 1/2) so ln2 - h2(delta) stays positive, got {delta}"
+        )
+    if eps_adv is not None and not (
+        2.0 * math.sqrt(d) * eps <= eps_adv <= delta_adv ** (1.0 / d)
+    ):
+        warnings.warn(
+            f"outside the regime 2*sqrt(d)*eps <= eps_adv <= delta_adv^(1/d) "
+            f"(eps={eps}, eps_adv={eps_adv}, delta_adv={delta_adv}, d={d})",
+            stacklevel=2,
+        )
+    q = (2.0 * kappa - 2.0) / kappa if error_kind == "function" else 2.0 * kappa - 2.0
+    return c * sigma * sigma * (math.log(2.0) - binary_entropy(delta)) / (delta_adv * eps ** q)
+
+
+def upper_bound_rates(T: int, delta_adv: float, kappa: float) -> tuple[float, float]:
+    """Constant-free achievable error rates at budget T:
+    function ~ (T*delta_adv)^(-kappa/(2*kappa-2)), point ~ (T*delta_adv)^(-1/(2*kappa-2))."""
+    if not kappa > 1.0:
+        raise ParameterError(f"kappa must exceed 1, got {kappa}")
+    _check_probability("delta_adv", delta_adv)
+    budget = T * delta_adv
+    if budget < 1.0:
+        warnings.warn(f"effective budget T*delta_adv = {budget:.3g} < 1", stacklevel=2)
+    return (
+        budget ** (-kappa / (2.0 * kappa - 2.0)),
+        budget ** (-1.0 / (2.0 * kappa - 2.0)),
+    )
+
+
+def kl_gaussian_pair(pair: HardPair, x, sigma: float) -> float:
+    """KL divergence between the Gaussian first-order responses of the two
+    pair members at x: ((f1-f2)^2 + ||g1-g2||^2) / (2*sigma^2).
+
+    Symmetric in the pair, and exactly 0 wherever the members coincide.
+    sigma = 0 returns +inf at any distinguishing point (0 where they agree).
+    """
+    if sigma < 0.0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    df = float(pair.f1.value(x)) - float(pair.f2.value(x))
+    dg = np.asarray(pair.f1.subgrad(x), dtype=float) - np.asarray(pair.f2.subgrad(x), dtype=float)
+    gap = df * df + float(np.sum(dg * dg))
+    if sigma == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return gap / (2.0 * sigma * sigma)
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """Bound values for one parameter setting, for side-by-side comparisons."""
+
+    setting: str
+    T: int
+    delta_adv: float
+    kappa: float
+    lower_bound: float
+    upper_function: float
+    upper_point: float
+    exponents: dict[str, float] = field(default_factory=dict)
+    notes: str = "upper rates omit polylogarithmic factors"
+
+
+def make_rate_report(
+    setting: str,
+    T: int,
+    delta_adv: float,
+    kappa: float,
+    eps: float,
+    eps_adv: float,
+    delta: float,
+    sigma: float = 0.0,
+    p: float | None = None,
+    c: float = 1.0,
+) -> RateReport:
+    """Bundle the applicable lower bound with the upper rates at budget T.
+
+    setting: "binary" (exact signs), "noisy-binary" (needs p), or "convex"
+    (Gaussian first-order, needs sigma).
+    """
+    if setting == "binary":
+        lower = lower_bound_binary(eps, eps_adv, delta, delta_adv, c)
+    elif setting == "noisy-binary":
+        if p is None:
+            raise ParameterError("noisy-binary setting needs p")
+        lower = lower_bound_noisy(eps, eps_adv, delta, delta_adv, p, c)
+    elif setting == "convex":
+        lower = lower_bound_convex(
+            eps, delta, delta_adv, kappa, sigma, "function", c, eps_adv=eps_adv
+        )
+    else:
+        raise ParameterError(f"unknown setting {setting!r}")
+    upper_fn, upper_pt = upper_bound_rates(T, delta_adv, kappa)
+    q_fn = (2.0 * kappa - 2.0) / kappa
+    exponents = {
+        "lower_q_function": q_fn,
+        "lower_q_point": 2.0 * kappa - 2.0,
+        "upper_function": -kappa / (2.0 * kappa - 2.0),
+        "upper_point": -1.0 / (2.0 * kappa - 2.0),
+    }
+    report = RateReport(
+        setting=setting, T=int(T), delta_adv=delta_adv, kappa=kappa,
+        lower_bound=lower, upper_function=upper_fn, upper_point=upper_pt,
+        exponents=exponents,
+    )
+    if not all(
+        math.isfinite(v) and v > 0.0
+        for v in (report.lower_bound, report.upper_function, report.upper_point)
+    ):
+        raise ParameterError(f"bound values must be positive and finite: {report}")
+    return report

@@ -1,0 +1,413 @@
+"""Replicated query protocols that hide the learner's progress.
+
+The domain [0, 1] is split into S = floor(1/delta_adv) subintervals of length
+delta_adv.  Each phase the confidential computation (epoch-doubling descent or
+interval bisection) proposes a point xbar; the protocol queries the point's
+offset replicated across all S subintervals in uniformly random order, and
+only the response at the home subinterval (the one containing xbar) is fed
+back.  An eavesdropper sees S indistinguishable clusters per phase.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import warnings
+from dataclasses import dataclass, field, asdict, replace
+from typing import Any
+
+import numpy as np
+
+from .epoch_gd import (
+    epoch_gd_estimate,
+    epoch_gd_feed,
+    epoch_gd_init,
+    epoch_gd_propose,
+)
+from .errors import BudgetError, DomainError, ParameterError
+from .functions import FunctionInstance
+from .oracles import RngStream, noisy_sign_oracle, sign_oracle
+
+MODES = ("ConvexEpochGD", "Bisection", "NoisyBisection")
+
+# child stream indices hung off a trial's RngStream
+_STREAM_INIT, _STREAM_PERM, _STREAM_NOISE = 0, 1, 2
+
+
+def subinterval_index(x: float, delta_adv: float) -> int:
+    """1-based index of the subinterval containing x; the right edge of the
+    S-th subinterval absorbs everything up to 1."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x={x} outside [0, 1]")
+    s_count = math.floor(1.0 / delta_adv)
+    return min(math.floor(x / delta_adv) + 1, s_count)
+
+
+@dataclass
+class ProtocolConfig:
+    """Run parameters; mirrors the config-file schema field for field."""
+
+    T: int = 20000
+    delta_adv: float = 0.1
+    eps_adv: float = 0.04
+    eps: float = 1e-3
+    delta: float = 0.05
+    kappa: float = 2.0
+    lam: float = 1.0
+    W: float = 2.0
+    sigma: float = 0.1
+    p: float = 0.75
+    mode: str = "ConvexEpochGD"
+    seed: int | None = None
+    x_star: float | None = None  # None: the harness samples it per trial
+    with_replacement: bool = False
+    overrides: dict[str, float] | None = None
+
+    @property
+    def subintervals(self) -> int:
+        return math.floor(1.0 / self.delta_adv)
+
+    @property
+    def phases(self) -> int:
+        return self.T // self.subintervals
+
+    def validate(self) -> None:
+        if not (isinstance(self.T, (int, np.integer)) and self.T >= 1):
+            raise ParameterError(f"T must be a positive integer, got {self.T}")
+        if not 0.0 < self.delta_adv < 1.0:
+            raise ParameterError(f"delta_adv must lie in (0, 1), got {self.delta_adv}")
+        if self.subintervals < 2:
+            raise ParameterError(
+                f"delta_adv={self.delta_adv} yields S={self.subintervals}; need S >= 2"
+            )
+        if not self.eps_adv > 0.0 or not 2.0 * self.eps_adv < self.delta_adv:
+            raise ParameterError(
+                f"need 0 < 2*eps_adv < delta_adv, got eps_adv={self.eps_adv}, "
+                f"delta_adv={self.delta_adv}"
+            )
+        if not self.eps > 0.0:
+            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if 2.0 * self.eps > self.eps_adv:
+            warnings.warn(
+                f"accuracy target eps={self.eps} violates 2*eps <= eps_adv={self.eps_adv}; "
+                "the secrecy guarantee degrades",
+                stacklevel=2,
+            )
+        if not 0.0 < self.delta < 1.0:
+            raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "ConvexEpochGD":
+            if not self.kappa >= 2.0:
+                raise ParameterError(f"kappa must be >= 2, got {self.kappa}")
+            if not self.lam > 0.0 or not self.W > 0.0:
+                raise ParameterError(f"lam and W must be positive")
+            if self.sigma < 0.0:
+                raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        if self.mode == "NoisyBisection" and not 0.5 < self.p < 1.0:
+            raise ParameterError(f"p must lie in (0.5, 1), got {self.p}")
+        if self.x_star is not None and not 0.0 <= self.x_star <= 1.0:
+            raise DomainError(f"x_star={self.x_star} outside [0, 1]")
+        if self.T < self.subintervals:
+            raise BudgetError(
+                f"budget T={self.T} cannot cover one phase of S={self.subintervals} queries"
+            )
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    def config_hash(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
+        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+    def with_updates(self, **kwargs: Any) -> "ProtocolConfig":
+        return replace(self, **kwargs)
+
+
+@dataclass
+class Transcript:
+    """Time-ordered query record plus the learner's private summary fields.
+
+    The adversary-facing projection is public_view(): query points only.
+    """
+
+    points: np.ndarray
+    phase: np.ndarray
+    sub: np.ndarray
+    informative: np.ndarray
+    x_hat: float
+    effective_gradients: int
+    config_hash: str
+    mode: str
+    s_count: int
+    remainder_risk: bool = False
+
+    def __len__(self) -> int:
+        return int(self.points.size)
+
+    def public_view(self) -> np.ndarray:
+        return self.points.copy()
+
+    def to_text(self, public: bool = False) -> str:
+        head = f"# secopt-transcript config={self.config_hash} mode={self.mode} public={int(public)}"
+        lines = [head]
+        pts = self.points
+        ph = self.phase
+        sub = self.sub
+        if public:
+            for t in range(pts.size):
+                lines.append(f"{t + 1},{float(pts[t])!r},{ph[t]},{sub[t]}")
+        else:
+            inf = self.informative
+            for t in range(pts.size):
+                lines.append(f"{t + 1},{float(pts[t])!r},{ph[t]},{sub[t]},{int(inf[t])}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "Transcript":
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines or not lines[0].startswith("# secopt-transcript"):
+            raise ParameterError("not a transcript: missing header line")
+        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        rows = [ln.split(",") for ln in lines[1:]]
+        public = header.get("public") == "1"
+        n = len(rows)
+        points = np.empty(n)
+        phase = np.empty(n, dtype=np.int64)
+        sub = np.empty(n, dtype=np.int64)
+        informative = np.zeros(n, dtype=bool)
+        for i, row in enumerate(rows):
+            points[i] = float(row[1])
+            phase[i] = int(row[2])
+            sub[i] = int(row[3])
+            if not public:
+                informative[i] = bool(int(row[4]))
+        return cls(
+            points=points, phase=phase, sub=sub, informative=informative,
+            x_hat=math.nan, effective_gradients=int(informative.sum()),
+            config_hash=header.get("config", ""), mode=header.get("mode", ""),
+            s_count=int(sub.max()) if n else 0,
+        )
+
+
+def _draw_sub_orders(
+    gen: np.random.Generator, n_phases: int, s_count: int, with_replacement: bool
+) -> np.ndarray:
+    """(n_phases, S) matrix of 0-based subinterval codes in query order."""
+    if with_replacement:
+        return gen.integers(0, s_count, size=(n_phases, s_count))
+    return np.argsort(gen.random((n_phases, s_count)), axis=1)
+
+
+def _require_1d(f: FunctionInstance) -> None:
+    if f.dim != 1:
+        raise ParameterError("replicated protocols run on 1-d instances")
+
+
+def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+    """Replicated epoch-doubling run under the Gaussian first-order oracle.
+
+    Each of the K = floor(T/S) phases queries one offset mirrored across all S
+    subintervals; only the home response is realized and fed (mirror responses
+    are never consumed by the learner, so they are not sampled).  The initial
+    solver point is drawn uniformly and is not itself submitted as a query.
+    """
+    config.validate()
+    _require_1d(f)
+    if config.mode != "ConvexEpochGD":
+        raise ParameterError(f"run_secure_convex requires ConvexEpochGD mode, got {config.mode}")
+    s_count = config.subintervals
+    n_phases = config.phases
+    delta_adv = config.delta_adv
+
+    init_gen = rng.child(_STREAM_INIT).generator()
+    perm_gen = rng.child(_STREAM_PERM).generator()
+    noise_gen = rng.child(_STREAM_NOISE).generator()
+
+    x_init = float(init_gen.uniform(0.0, 1.0))
+    state = epoch_gd_init(
+        config.kappa, config.lam, config.delta, config.W,
+        n_phases, x_init, overrides=config.overrides, domain=(0.0, 1.0),
+    )
+
+    orders = _draw_sub_orders(perm_gen, n_phases, s_count, config.with_replacement)
+    if config.sigma > 0.0:
+        noise = noise_gen.normal(0.0, config.sigma, size=(n_phases, 2))
+        grad_noise = noise[:, 1].tolist()
+    else:
+        grad_noise = [0.0] * n_phases
+
+    xbars = np.empty(n_phases)
+    homes = np.empty(n_phases, dtype=np.int64)
+    subgrad = f.subgrad
+    floor = math.floor
+    fed = 0
+    for k in range(n_phases):
+        xb = epoch_gd_propose(state)
+        j = min(floor(xb / delta_adv) + 1, s_count)
+        xbars[k] = xb
+        homes[k] = j
+        if config.with_replacement:
+            hits = int(np.count_nonzero(orders[k] == j - 1))
+            for _ in range(hits):
+                if state.done:
+                    break
+                g = float(subgrad(xb)) + grad_noise[k]
+                epoch_gd_feed(state, g)
+                fed += 1
+                epoch_gd_propose(state)  # re-arm so queued duplicates may feed
+        else:
+            if not state.done:
+                epoch_gd_feed(state, float(subgrad(xb)) + grad_noise[k])
+                fed += 1
+
+    x_hat = epoch_gd_estimate(state)
+    offsets = xbars - (homes - 1) * delta_adv
+    points = (orders * delta_adv + offsets[:, None]).ravel()
+    sub = (orders + 1).astype(np.int64).ravel()
+    informative = (orders == (homes - 1)[:, None]).ravel()
+    phase = np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), s_count)
+    return Transcript(
+        points=points, phase=phase, sub=sub, informative=informative,
+        x_hat=x_hat, effective_gradients=fed,
+        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
+    )
+
+
+def majority_repetitions(p: float, eps: float, delta: float, delta_adv: float) -> int:
+    """Votes per bisection decision so all majorities are right w.p. >= 1-delta.
+
+    Hoeffding sizing m >= ln(2*log2(delta_adv/eps)/delta) / (2*(p-1/2)^2),
+    bumped to the next odd integer so a majority vote cannot tie.
+    """
+    if not 0.5 < p < 1.0:
+        raise ParameterError(f"p must lie in (0.5, 1), got {p}")
+    halvings = max(math.log2(delta_adv / eps), 1.0)
+    m = math.ceil(math.log(2.0 * halvings / delta) / (2.0 * (p - 0.5) ** 2))
+    m = max(m, 1)
+    return m if m % 2 == 1 else m + 1
+
+
+def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+    """Replicated bisection inside the home subinterval, exact or noisy signs.
+
+    The candidate interval starts as the subinterval containing the optimizer
+    (coarse localization is modeled as free; see the decisions ledger) and is
+    halved by the home sign response each phase -- by the majority over m
+    repeated phases in NoisyBisection mode.  The run stops once the interval
+    width reaches eps or the phase budget K is spent.
+    """
+    config.validate()
+    _require_1d(f)
+    if config.mode not in ("Bisection", "NoisyBisection"):
+        raise ParameterError(f"run_secure_bisection requires a bisection mode, got {config.mode}")
+    s_count = config.subintervals
+    n_phases_max = config.phases
+    delta_adv = config.delta_adv
+    noisy = config.mode == "NoisyBisection"
+
+    x_star = float(f.x_star)
+    if not 0.0 <= x_star <= 1.0:
+        raise DomainError(f"optimizer {x_star} outside [0, 1]")
+    home = subinterval_index(x_star, delta_adv)
+    remainder_risk = x_star > s_count * delta_adv
+
+    perm_gen = rng.child(_STREAM_PERM).generator()
+    noise_gen = rng.child(_STREAM_NOISE).generator()
+
+    lo = (home - 1) * delta_adv
+    hi = min(home * delta_adv, 1.0)
+    reps = majority_repetitions(config.p, config.eps, config.delta, delta_adv) if noisy else 1
+
+    order_rows: list[np.ndarray] = []
+    offsets: list[float] = []
+    homes: list[int] = []
+    phases_used = 0
+    while hi - lo > config.eps and phases_used < n_phases_max:
+        mid = 0.5 * (lo + hi)
+        votes = 0
+        this_round = min(reps, n_phases_max - phases_used)
+        for _ in range(this_round):
+            order_rows.append(
+                _draw_sub_orders(perm_gen, 1, s_count, config.with_replacement)[0]
+            )
+            offsets.append(mid - (home - 1) * delta_adv)
+            homes.append(home)
+            if noisy:
+                votes += noisy_sign_oracle(f, mid, config.p, noise_gen).sign
+            else:
+                votes += sign_oracle(f, mid).sign
+            phases_used += 1
+        if votes >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if this_round < reps:
+            break  # budget exhausted mid-decision; best-effort majority applied
+
+    x_hat = 0.5 * (lo + hi)
+    n_phases = phases_used
+    if n_phases:
+        orders = np.stack(order_rows)
+        offs = np.asarray(offsets)
+        homes_arr = np.asarray(homes, dtype=np.int64)
+        points = (orders * delta_adv + offs[:, None]).ravel()
+        sub = (orders + 1).astype(np.int64).ravel()
+        informative = (orders == (homes_arr - 1)[:, None]).ravel()
+        phase = np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), s_count)
+    else:
+        points = np.empty(0)
+        sub = np.empty(0, dtype=np.int64)
+        informative = np.empty(0, dtype=bool)
+        phase = np.empty(0, dtype=np.int64)
+    return Transcript(
+        points=points, phase=phase, sub=sub, informative=informative,
+        x_hat=x_hat, effective_gradients=n_phases,
+        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
+        remainder_risk=remainder_risk,
+    )
+
+
+def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+    """Non-replicated control: every query is the solver's own next point.
+
+    Leaks the query trajectory; used as the negative control in privacy tests.
+    """
+    config.validate()
+    _require_1d(f)
+    init_gen = rng.child(_STREAM_INIT).generator()
+    noise_gen = rng.child(_STREAM_NOISE).generator()
+    t_budget = config.T
+    x_init = float(init_gen.uniform(0.0, 1.0))
+    state = epoch_gd_init(
+        config.kappa, config.lam, config.delta, config.W,
+        t_budget, x_init, overrides=config.overrides, domain=(0.0, 1.0),
+    )
+    if config.sigma > 0.0:
+        grad_noise = noise_gen.normal(0.0, config.sigma, size=(t_budget, 2))[:, 1].tolist()
+    else:
+        grad_noise = [0.0] * t_budget
+    points = np.empty(t_budget)
+    subgrad = f.subgrad
+    fed = 0
+    for t in range(t_budget):
+        x = epoch_gd_propose(state)
+        points[t] = x
+        if not state.done:
+            epoch_gd_feed(state, float(subgrad(x)) + grad_noise[t])
+            fed += 1
+    s_count = config.subintervals
+    sub = np.minimum(np.floor(points / config.delta_adv).astype(np.int64) + 1, s_count)
+    return Transcript(
+        points=points, phase=np.arange(1, t_budget + 1, dtype=np.int64),
+        sub=sub, informative=np.ones(t_budget, dtype=bool),
+        x_hat=epoch_gd_estimate(state), effective_gradients=fed,
+        config_hash=config.config_hash(), mode="PlainEpochGD", s_count=s_count,
+    )
+
+
+def run_protocol(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+    """Dispatch on config.mode."""
+    if config.mode == "ConvexEpochGD":
+        return run_secure_convex(config, f, rng)
+    return run_secure_bisection(config, f, rng)
