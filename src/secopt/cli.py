@@ -242,6 +242,8 @@ def cmd_bounds(args: argparse.Namespace, extras: list[str]) -> int:
 def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
     if extras:
         raise ParameterError(f"unrecognized arguments: {' '.join(extras)}")
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     with open(args.transcript) as fh:
         transcript = Transcript.from_text(fh.read())
     public = transcript.public_view()

@@ -4,19 +4,20 @@ The solver runs in epochs whose lengths double while the step size shrinks by
 2^(-kappa/(2*kappa-2)) per epoch.  Inside an epoch each fed gradient applies a
 projected step onto domain  intersect  [anchor - R_e, anchor + R_e]; at an epoch
 boundary the next anchor is the average of the epoch's first T_e iterates.  The
-state is resumable so a driving protocol can interleave its own bookkeeping
-between propose() (where the next gradient is wanted) and feed() (the gradient).
+state is resumable: propose() says where the next gradient is wanted and feed()
+consumes it.  epoch_gd_drive() is the one loop over that pair that the
+protocols use.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, ProtocolOrderError
-from .functions import FunctionInstance
-from .oracles import RngStream
 
 _OVERRIDE_KEYS = ("C0", "C1", "C2")
 
@@ -45,8 +46,6 @@ def default_constants(
 class EpochGdState:
     kappa: float
     lam: float
-    delta: float
-    w: float
     t_budget: int
     domain: tuple[float, float]
     constants: dict[str, float]
@@ -57,7 +56,6 @@ class EpochGdState:
     radius: float = 0.0
     anchor: float = 0.0
     iterate: float = 0.0
-    t: int = 1
     epoch_sum: float = 0.0
     fed_in_epoch: int = 0
     planned: int = 0          # sum of T_i over epochs started so far
@@ -99,7 +97,7 @@ def epoch_gd_init(
     shrink = 2.0 ** (-kappa / (2.0 * kappa - 2.0))
     eta1 = constants["C1"] * shrink
     state = EpochGdState(
-        kappa=kappa, lam=lam, delta=delta, w=w, t_budget=int(t_budget),
+        kappa=kappa, lam=lam, t_budget=int(t_budget),
         domain=domain, constants=constants, shrink=shrink,
         epoch_len=math.ceil(2.0 * constants["C0"]),
         eta=eta1,
@@ -131,7 +129,6 @@ def epoch_gd_propose(state: EpochGdState) -> float:
         state.radius = (state.constants["C2"] * state.eta / state.lam) ** (1.0 / state.kappa)
         state.anchor = new_anchor
         state.iterate = new_anchor
-        state.t = 1
         state.epoch_sum = 0.0
         state.fed_in_epoch = 0
         state.planned += state.epoch_len
@@ -152,7 +149,6 @@ def epoch_gd_feed(state: EpochGdState, g: float) -> None:
     lo = max(state.domain[0], state.anchor - state.radius)
     hi = min(state.domain[1], state.anchor + state.radius)
     state.iterate = min(max(state.iterate - state.eta * float(g), lo), hi)
-    state.t += 1
     state.fed_in_epoch += 1
     state.total_fed += 1
     state._proposed = False
@@ -163,38 +159,21 @@ def epoch_gd_estimate(state: EpochGdState) -> float:
     return state.anchor
 
 
-def run_epoch_gd(
-    f: FunctionInstance,
-    sigma: float,
-    t_budget: int,
-    delta: float,
-    w: float,
-    rng: RngStream,
-    overrides: dict[str, float] | None = None,
-    x_init: float | None = None,
-) -> float:
-    """Drive a full solver run against the Gaussian first-order oracle.
+def epoch_gd_drive(
+    state: EpochGdState, subgrad: Callable[[float], Any], grad_noise: Sequence[float]
+) -> tuple[np.ndarray, int]:
+    """Run the solver for one step per noise entry.
 
-    Value noise is drawn alongside gradient noise (the oracle returns a pair)
-    even though only the gradient is consumed.  Returns the final estimate.
+    Step k proposes a point and, while the solver is not done, feeds
+    subgrad(point) + grad_noise[k].  Once done, the remaining steps propose
+    the frozen final anchor.  Returns the proposals and the gradients fed.
     """
-    if f.dim != 1:
-        raise ParameterError("the epoch solver runs on 1-d instances")
-    gen = rng.generator()
-    if x_init is None:
-        x_init = float(gen.uniform(f.domain[0], f.domain[1]))
-    state = epoch_gd_init(
-        float(f.kappa), f.lam, delta, w, t_budget, x_init,
-        overrides=overrides, domain=f.domain,
-    )
-    noise = gen.normal(0.0, sigma, size=(t_budget, 2)) if sigma > 0.0 else np.zeros((t_budget, 2))
-    noise_g = noise[:, 1].tolist()
-    subgrad = f.subgrad
-    for k in range(t_budget):
-        if state.done:
-            break
+    proposals = np.empty(len(grad_noise))
+    fed = 0
+    for k, z in enumerate(grad_noise):
         x = epoch_gd_propose(state)
-        if state.done:
-            break
-        epoch_gd_feed(state, float(subgrad(x)) + noise_g[k])
-    return epoch_gd_estimate(state)
+        proposals[k] = x
+        if not state.done:
+            epoch_gd_feed(state, float(subgrad(x)) + z)
+            fed += 1
+    return proposals, fed

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: seeded trial batches, budget sweeps, bound comparisons.
+"""Monte Carlo harness: seeded trial batches, CSV export and budget sweeps.
 
 Per-trial randomness is keyed as (master_seed, trial, purpose), so results are
 deterministic for a given (config, n_trials, master_seed) no matter how many
@@ -22,7 +22,6 @@ from .adversary import (
     proportional_sample,
     uniform_naive,
 )
-from .bounds import RateReport
 from .errors import ParameterError
 from .functions import FunctionInstance, make_abs, make_uniformly_convex
 from .oracles import RngStream
@@ -260,51 +259,3 @@ def sweep_budget(
         fit_point=_ols_loglog(eff, med_point),
         fit_function=_ols_loglog(eff, med_fn),
     )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    budget: float
-    predicted: float
-    measured: float
-    ratio: float
-    flagged: bool
-
-
-def compare_to_bounds(
-    summaries: list[BatchSummary],
-    report: RateReport,
-    error_kind: str = "function",
-    allowance: float | None = None,
-) -> list[ComparisonRow]:
-    """Measured median errors vs the report's constant-free upper rate.
-
-    A row is flagged when measured > predicted * allowance, where the default
-    allowance is ln(T*delta_adv)^2; equality is not flagged.
-    """
-    if error_kind not in ("function", "point"):
-        raise ParameterError(f"error_kind must be 'function' or 'point', got {error_kind!r}")
-    diffs = []
-    for s in summaries:
-        if s.config.kappa != report.kappa:
-            diffs.append(f"kappa: summary {s.config.kappa} vs report {report.kappa}")
-        if s.config.delta_adv != report.delta_adv:
-            diffs.append(f"delta_adv: summary {s.config.delta_adv} vs report {report.delta_adv}")
-    if diffs:
-        raise ParameterError("parameter mismatch: " + "; ".join(sorted(set(diffs))))
-    exponent = report.exponents[f"upper_{error_kind}"]
-    rows = []
-    for s in summaries:
-        budget = s.config.T * s.config.delta_adv
-        predicted = budget**exponent
-        measured = (
-            s.function_quantiles[1] if error_kind == "function" else s.point_quantiles[1]
-        )
-        allow = allowance if allowance is not None else math.log(budget) ** 2
-        rows.append(
-            ComparisonRow(
-                budget=budget, predicted=predicted, measured=measured,
-                ratio=measured / predicted, flagged=bool(measured > predicted * allow),
-            )
-        )
-    return rows

@@ -13,17 +13,12 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .epoch_gd import (
-    epoch_gd_estimate,
-    epoch_gd_feed,
-    epoch_gd_init,
-    epoch_gd_propose,
-)
+from .epoch_gd import epoch_gd_drive, epoch_gd_estimate, epoch_gd_init
 from .errors import BudgetError, DomainError, ParameterError
 from .functions import FunctionInstance
 from .oracles import RngStream, noisy_sign_oracle, sign_oracle
@@ -58,9 +53,7 @@ class ProtocolConfig:
     sigma: float = 0.1
     p: float = 0.75
     mode: str = "ConvexEpochGD"
-    seed: int | None = None
     x_star: float | None = None  # None: the harness samples it per trial
-    with_replacement: bool = False
     overrides: dict[str, float] | None = None
 
     @property
@@ -87,6 +80,8 @@ class ProtocolConfig:
             )
         if not self.eps > 0.0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not self.eps < self.delta_adv:
+            raise ParameterError(f"eps={self.eps} must be below delta_adv={self.delta_adv}")
         if 2.0 * self.eps > self.eps_adv:
             warnings.warn(
                 f"accuracy target eps={self.eps} violates 2*eps <= eps_adv={self.eps_adv}; "
@@ -190,18 +185,64 @@ class Transcript:
         )
 
 
-def _draw_sub_orders(
-    gen: np.random.Generator, n_phases: int, s_count: int, with_replacement: bool
-) -> np.ndarray:
+def _draw_sub_orders(gen: np.random.Generator, n_phases: int, s_count: int) -> np.ndarray:
     """(n_phases, S) matrix of 0-based subinterval codes in query order."""
-    if with_replacement:
-        return gen.integers(0, s_count, size=(n_phases, s_count))
     return np.argsort(gen.random((n_phases, s_count)), axis=1)
+
+
+def _gradient_noise(gen: np.random.Generator, sigma: float, n: int) -> list[float]:
+    """Gradient noise of n Gaussian first-order oracle responses, N(0, sigma^2).
+
+    Drawn as one (n, 2) block in the oracle's (value, gradient) order; only the
+    gradient column is used.  sigma = 0 draws nothing.
+    """
+    if sigma > 0.0:
+        return gen.normal(0.0, sigma, size=(n, 2))[:, 1].tolist()
+    return [0.0] * n
+
+
+def _home_index(points: np.ndarray, delta_adv: float, s_count: int) -> np.ndarray:
+    """subinterval_index over an array of points."""
+    return np.minimum(np.floor(points / delta_adv).astype(np.int64) + 1, s_count)
 
 
 def _require_1d(f: FunctionInstance) -> None:
     if f.dim != 1:
         raise ParameterError("replicated protocols run on 1-d instances")
+
+
+def _solve_convex(
+    config: ProtocolConfig, f: FunctionInstance, rng: RngStream, n_steps: int
+) -> tuple[np.ndarray, int, float]:
+    """Epoch-doubling run of n_steps noisy gradient queries from a uniform start.
+
+    Returns the proposed points, the gradients fed and the final estimate.
+    """
+    x_init = float(rng.child(_STREAM_INIT).generator().uniform(0.0, 1.0))
+    state = epoch_gd_init(
+        config.kappa, config.lam, config.delta, config.W,
+        n_steps, x_init, overrides=config.overrides, domain=(0.0, 1.0),
+    )
+    noise = _gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
+    proposals, fed = epoch_gd_drive(state, f.subgrad, noise)
+    return proposals, fed, epoch_gd_estimate(state)
+
+
+def _replicated_transcript(
+    config: ProtocolConfig, orders: np.ndarray, offsets: np.ndarray, homes: np.ndarray,
+    **summary: Any,
+) -> Transcript:
+    """Phase k queries offsets[k] in every subinterval, in the order orders[k];
+    only the query in subinterval homes[k] is informative."""
+    s_count = config.subintervals
+    return Transcript(
+        points=(orders * config.delta_adv + offsets[:, None]).ravel(),
+        phase=np.repeat(np.arange(1, len(offsets) + 1, dtype=np.int64), s_count),
+        sub=(orders + 1).astype(np.int64).ravel(),
+        informative=(orders == (homes - 1)[:, None]).ravel(),
+        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
+        **summary,
+    )
 
 
 def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
@@ -219,58 +260,12 @@ def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStrea
     s_count = config.subintervals
     n_phases = config.phases
     delta_adv = config.delta_adv
-
-    init_gen = rng.child(_STREAM_INIT).generator()
-    perm_gen = rng.child(_STREAM_PERM).generator()
-    noise_gen = rng.child(_STREAM_NOISE).generator()
-
-    x_init = float(init_gen.uniform(0.0, 1.0))
-    state = epoch_gd_init(
-        config.kappa, config.lam, config.delta, config.W,
-        n_phases, x_init, overrides=config.overrides, domain=(0.0, 1.0),
-    )
-
-    orders = _draw_sub_orders(perm_gen, n_phases, s_count, config.with_replacement)
-    if config.sigma > 0.0:
-        noise = noise_gen.normal(0.0, config.sigma, size=(n_phases, 2))
-        grad_noise = noise[:, 1].tolist()
-    else:
-        grad_noise = [0.0] * n_phases
-
-    xbars = np.empty(n_phases)
-    homes = np.empty(n_phases, dtype=np.int64)
-    subgrad = f.subgrad
-    floor = math.floor
-    fed = 0
-    for k in range(n_phases):
-        xb = epoch_gd_propose(state)
-        j = min(floor(xb / delta_adv) + 1, s_count)
-        xbars[k] = xb
-        homes[k] = j
-        if config.with_replacement:
-            hits = int(np.count_nonzero(orders[k] == j - 1))
-            for _ in range(hits):
-                if state.done:
-                    break
-                g = float(subgrad(xb)) + grad_noise[k]
-                epoch_gd_feed(state, g)
-                fed += 1
-                epoch_gd_propose(state)  # re-arm so queued duplicates may feed
-        else:
-            if not state.done:
-                epoch_gd_feed(state, float(subgrad(xb)) + grad_noise[k])
-                fed += 1
-
-    x_hat = epoch_gd_estimate(state)
-    offsets = xbars - (homes - 1) * delta_adv
-    points = (orders * delta_adv + offsets[:, None]).ravel()
-    sub = (orders + 1).astype(np.int64).ravel()
-    informative = (orders == (homes - 1)[:, None]).ravel()
-    phase = np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), s_count)
-    return Transcript(
-        points=points, phase=phase, sub=sub, informative=informative,
+    xbars, fed, x_hat = _solve_convex(config, f, rng, n_phases)
+    homes = _home_index(xbars, delta_adv, s_count)
+    orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
+    return _replicated_transcript(
+        config, orders, xbars - (homes - 1) * delta_adv, homes,
         x_hat=x_hat, effective_gradients=fed,
-        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
     )
 
 
@@ -312,32 +307,21 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     home = subinterval_index(x_star, delta_adv)
     remainder_risk = x_star > s_count * delta_adv
 
-    perm_gen = rng.child(_STREAM_PERM).generator()
     noise_gen = rng.child(_STREAM_NOISE).generator()
-
-    lo = (home - 1) * delta_adv
+    base = (home - 1) * delta_adv
+    lo = base
     hi = min(home * delta_adv, 1.0)
     reps = majority_repetitions(config.p, config.eps, config.delta, delta_adv) if noisy else 1
 
-    order_rows: list[np.ndarray] = []
     offsets: list[float] = []
-    homes: list[int] = []
-    phases_used = 0
-    while hi - lo > config.eps and phases_used < n_phases_max:
+    while hi - lo > config.eps and len(offsets) < n_phases_max:
         mid = 0.5 * (lo + hi)
-        votes = 0
-        this_round = min(reps, n_phases_max - phases_used)
-        for _ in range(this_round):
-            order_rows.append(
-                _draw_sub_orders(perm_gen, 1, s_count, config.with_replacement)[0]
-            )
-            offsets.append(mid - (home - 1) * delta_adv)
-            homes.append(home)
-            if noisy:
-                votes += noisy_sign_oracle(f, mid, config.p, noise_gen).sign
-            else:
-                votes += sign_oracle(f, mid).sign
-            phases_used += 1
+        this_round = min(reps, n_phases_max - len(offsets))
+        offsets += [mid - base] * this_round
+        if noisy:
+            votes = sum(noisy_sign_oracle(f, mid, config.p, noise_gen) for _ in range(this_round))
+        else:
+            votes = sign_oracle(f, mid)
         if votes >= 0:
             hi = mid
         else:
@@ -345,26 +329,13 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
         if this_round < reps:
             break  # budget exhausted mid-decision; best-effort majority applied
 
-    x_hat = 0.5 * (lo + hi)
-    n_phases = phases_used
-    if n_phases:
-        orders = np.stack(order_rows)
-        offs = np.asarray(offsets)
-        homes_arr = np.asarray(homes, dtype=np.int64)
-        points = (orders * delta_adv + offs[:, None]).ravel()
-        sub = (orders + 1).astype(np.int64).ravel()
-        informative = (orders == (homes_arr - 1)[:, None]).ravel()
-        phase = np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), s_count)
-    else:
-        points = np.empty(0)
-        sub = np.empty(0, dtype=np.int64)
-        informative = np.empty(0, dtype=bool)
-        phase = np.empty(0, dtype=np.int64)
-    return Transcript(
-        points=points, phase=phase, sub=sub, informative=informative,
-        x_hat=x_hat, effective_gradients=n_phases,
-        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
-        remainder_risk=remainder_risk,
+    n_phases = len(offsets)
+    # nothing else reads the order stream, so one block after the loop gives the
+    # same rows as drawing each phase's order as it runs
+    orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
+    return _replicated_transcript(
+        config, orders, np.asarray(offsets), np.full(n_phases, home, dtype=np.int64),
+        x_hat=0.5 * (lo + hi), effective_gradients=n_phases, remainder_risk=remainder_risk,
     )
 
 
@@ -375,33 +346,14 @@ def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream
     """
     config.validate()
     _require_1d(f)
-    init_gen = rng.child(_STREAM_INIT).generator()
-    noise_gen = rng.child(_STREAM_NOISE).generator()
     t_budget = config.T
-    x_init = float(init_gen.uniform(0.0, 1.0))
-    state = epoch_gd_init(
-        config.kappa, config.lam, config.delta, config.W,
-        t_budget, x_init, overrides=config.overrides, domain=(0.0, 1.0),
-    )
-    if config.sigma > 0.0:
-        grad_noise = noise_gen.normal(0.0, config.sigma, size=(t_budget, 2))[:, 1].tolist()
-    else:
-        grad_noise = [0.0] * t_budget
-    points = np.empty(t_budget)
-    subgrad = f.subgrad
-    fed = 0
-    for t in range(t_budget):
-        x = epoch_gd_propose(state)
-        points[t] = x
-        if not state.done:
-            epoch_gd_feed(state, float(subgrad(x)) + grad_noise[t])
-            fed += 1
     s_count = config.subintervals
-    sub = np.minimum(np.floor(points / config.delta_adv).astype(np.int64) + 1, s_count)
+    points, fed, x_hat = _solve_convex(config, f, rng, t_budget)
     return Transcript(
         points=points, phase=np.arange(1, t_budget + 1, dtype=np.int64),
-        sub=sub, informative=np.ones(t_budget, dtype=bool),
-        x_hat=epoch_gd_estimate(state), effective_gradients=fed,
+        sub=_home_index(points, config.delta_adv, s_count),
+        informative=np.ones(t_budget, dtype=bool),
+        x_hat=x_hat, effective_gradients=fed,
         config_hash=config.config_hash(), mode="PlainEpochGD", s_count=s_count,
     )
 

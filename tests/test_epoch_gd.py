@@ -10,13 +10,26 @@ from secopt import (
     ProtocolOrderError,
     RngStream,
     default_constants,
+    epoch_gd_drive,
     epoch_gd_estimate,
     epoch_gd_feed,
     epoch_gd_init,
     epoch_gd_propose,
     make_uniformly_convex,
-    run_epoch_gd,
 )
+from secopt.protocol import _gradient_noise
+
+
+def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:
+    """One solver run against the Gaussian first-order oracle: a uniform start
+    and the gradient noise both come from the one stream."""
+    gen = stream.generator()
+    x_init = float(gen.uniform(*f.domain))
+    state = epoch_gd_init(
+        float(f.kappa), f.lam, delta, w, budget, x_init, overrides=overrides, domain=f.domain
+    )
+    epoch_gd_drive(state, f.subgrad, _gradient_noise(gen, sigma, budget))
+    return epoch_gd_estimate(state)
 
 
 def test_c0_golden() -> None:
@@ -147,7 +160,7 @@ def test_init_validation() -> None:
 
 def test_noiseless_convergence() -> None:
     f = make_uniformly_convex(2.0, 1.0, 0.5)
-    est = run_epoch_gd(
+    est = _solve(
         f, 0.0, 10**4, 0.05, 1.0, RngStream(0, (7,)), overrides={"C0": 2.0}
     )
     assert abs(est - 0.5) <= 1e-2
@@ -161,7 +174,7 @@ def test_noisy_function_error_slope_in_band() -> None:
     for b_idx, budget in enumerate(budgets):
         errs = []
         for trial in range(40):
-            est = run_epoch_gd(
+            est = _solve(
                 f, 0.1, budget, 0.05, 2.0, RngStream(1234, (b_idx, trial))
             )
             errs.append(float(f.value(est)))
@@ -177,6 +190,6 @@ def test_noiseless_sweep_never_slower_than_noisy() -> None:
         noisy, clean = [], []
         for trial in range(10):
             stream = RngStream(77, (b_idx, trial))
-            noisy.append(abs(run_epoch_gd(f, 0.1, budget, 0.05, 2.0, stream) - 0.35))
-            clean.append(abs(run_epoch_gd(f, 0.0, budget, 0.05, 2.0, stream) - 0.35))
+            noisy.append(abs(_solve(f, 0.1, budget, 0.05, 2.0, stream) - 0.35))
+            clean.append(abs(_solve(f, 0.0, budget, 0.05, 2.0, stream) - 0.35))
         assert np.median(clean) <= np.median(noisy)

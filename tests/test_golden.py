@@ -1,0 +1,72 @@
+"""Golden outputs: fixed seeded commands must keep producing the same bytes.
+
+The digests were recorded before the solver drive loop, the transcript
+assembly and the gradient-noise draw were merged into one implementation
+each.  A change that alters any seeded random stream or arithmetic on
+purpose must say so and update them.  Transcript digests cover the data rows
+only: the header carries the config hash, which changes whenever a config
+field is added or removed.
+"""
+import hashlib
+
+from secopt import (
+    ProtocolConfig,
+    RngStream,
+    export_csv,
+    make_uniformly_convex,
+    run_batch,
+    run_plain_convex,
+)
+from secopt.cli import main as cli_main
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _data_rows(text: bytes) -> bytes:
+    return text.partition(b"\n")[2]
+
+
+def test_cli_run_csv_digest(tmp_path) -> None:
+    out = tmp_path / "run.csv"
+    assert cli_main(["run", "--seed", "7", "-N", "16", "--T=20000", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == (
+        "0fac54e3a9e808f899ab8627728c7905362c91d615b2e4c3ffa951310371e3ac"
+    )
+
+
+def test_bisection_batch_csv_digests() -> None:
+    expected = {
+        "NoisyBisection": "34f624b70350986430cc6afbf1004ebe81b1db3ef9856181feb28dd74ff2fef3",
+        "Bisection": "87318486a4db45b30abd9f647800d8af344ccb26137d804527ff9ec82f70dd46",
+    }
+    for mode, digest in expected.items():
+        config = ProtocolConfig(T=20000, mode=mode, p=0.75, eps=1e-3)
+        summary = run_batch(config, 40, master_seed=5)
+        assert _sha(export_csv(summary).encode()) == digest, mode
+
+
+def test_noiseless_batch_csv_digest() -> None:
+    summary = run_batch(ProtocolConfig(T=20000, sigma=0.0), 8, master_seed=7)
+    assert _sha(export_csv(summary).encode()) == (
+        "b552bbf732ddc455620fa1e76f8a017a6ab41392ca921f4d08be62fa1f9ac6d4"
+    )
+
+
+def test_exported_transcript_rows_digest(tmp_path) -> None:
+    out = tmp_path / "t.txt"
+    assert cli_main(["export-transcript", "--seed", "3", "--T=200000", "--out", str(out)]) == 0
+    assert _sha(_data_rows(out.read_bytes())) == (
+        "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12"
+    )
+
+
+def test_plain_control_transcript_digest() -> None:
+    config = ProtocolConfig(T=30000, overrides={"C0": 2.0})
+    tr = run_plain_convex(config, make_uniformly_convex(2.0, 1.0, 0.3), RngStream(4, (1,)))
+    assert tr.effective_gradients == 16380
+    assert tr.x_hat == 0.3007684810746028
+    assert _sha(_data_rows(tr.to_text().encode())) == (
+        "897cca0c724eac4dcfef2ba1956df1a4f64be724fe92171e8cbf1e98658a2c8c"
+    )

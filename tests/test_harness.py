@@ -7,14 +7,11 @@ import pytest
 from secopt import (
     ADVERSARY_ORDER,
     CSV_HEADER,
-    BatchSummary,
     ParameterError,
     ProtocolConfig,
     TrialOutcome,
-    compare_to_bounds,
     default_packing_centers,
     export_csv,
-    make_rate_report,
     run_batch,
     summarize,
     sweep_budget,
@@ -130,50 +127,6 @@ def test_sweep_fits_decaying_errors() -> None:
     assert result.fit_function.slope < result.fit_point.slope  # function decays faster
 
 
-def _summary_with_median(config: ProtocolConfig, fn_median: float) -> BatchSummary:
-    return BatchSummary(
-        config=config, n_trials=4, delta_hat=0.0, se_delta=0.0,
-        adv_rates={k: 0.0 for k in ADVERSARY_ORDER}, se_adv=0.0,
-        point_quantiles=(0.1, 0.2, 0.3), function_quantiles=(0.1, fn_median, 0.3),
-        mean_ms=0.0, outcomes=[],
-    )
-
-
-def test_compare_to_bounds_flagging_rules() -> None:
-    config = ProtocolConfig(T=64, delta_adv=0.25, eps_adv=0.02)
-    report = make_rate_report(
-        "convex", T=64, delta_adv=0.25, kappa=2.0,
-        eps=1e-3, eps_adv=0.02, delta=0.05, sigma=0.1,
-    )
-    # budget 16, upper function exponent -1: predicted 0.0625, measured 0.125
-    rows = compare_to_bounds([_summary_with_median(config, 0.125)], report)
-    assert rows[0].budget == 16.0
-    assert rows[0].predicted == pytest.approx(0.0625, rel=1e-12)
-    assert rows[0].ratio == pytest.approx(2.0, rel=1e-12)
-    assert not rows[0].flagged  # default allowance ln(16)^2 > 2
-
-    at_limit = compare_to_bounds([_summary_with_median(config, 0.125)], report, allowance=2.0)
-    assert not at_limit[0].flagged  # equality stays unflagged
-    over = compare_to_bounds([_summary_with_median(config, 0.125)], report, allowance=1.9)
-    assert over[0].flagged
-
-    exact = compare_to_bounds([_summary_with_median(config, 0.0625)], report, allowance=1.0)
-    assert exact[0].ratio == pytest.approx(1.0, rel=1e-12) and not exact[0].flagged
-
-    pt = compare_to_bounds([_summary_with_median(config, 0.125)], report, error_kind="point")
-    assert pt[0].predicted == pytest.approx(16.0 ** -0.5, rel=1e-12)
-    assert pt[0].measured == 0.2
-
-    with pytest.raises(ParameterError):
-        compare_to_bounds([_summary_with_median(config, 0.1)], report, error_kind="both")
-    bad = make_rate_report(
-        "convex", T=64, delta_adv=0.25, kappa=3.0,
-        eps=1e-3, eps_adv=0.02, delta=0.05, sigma=0.1,
-    )
-    with pytest.raises(ParameterError, match="kappa"):
-        compare_to_bounds([_summary_with_median(config, 0.1)], bad)
-
-
 def test_cli_run_writes_csv(tmp_path, capsys) -> None:
     out = tmp_path / "trials.csv"
     rc = cli_main(["run", "--seed", "7", "-N", "4", "--out", str(out), "--T=4000"])
@@ -251,11 +204,33 @@ def test_cli_yaml_config_with_override(tmp_path) -> None:
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys) -> None:
+    # seed and with_replacement were once config fields; they must not be
+    # accepted and silently ignored
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("bogus: 1\n")
-    rc = cli_main(["run", "--seed", "2", "--config", str(cfg)])
+    for key, value in (("bogus", "1"), ("seed", "5"), ("with_replacement", "true")):
+        cfg.write_text(f"{key}: {value}\n")
+        rc = cli_main(["run", "--seed", "2", "--config", str(cfg)])
+        assert rc == 2
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
+def test_cli_eps_not_below_delta_adv_exits_2(capsys) -> None:
+    # bisection would run zero phases and leave the adversaries nothing to see
+    rc = cli_main(["run", "--seed", "1", "--mode=Bisection", "--T=2000", "--eps=0.15"])
     assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    assert "below delta_adv" in capsys.readouterr().err
+
+
+def test_cli_adversary_eval_rejects_zero_samples(tmp_path, capsys) -> None:
+    path = tmp_path / "transcript.txt"
+    assert cli_main(["export-transcript", "--seed", "3", "--out", str(path), "--T=2000"]) == 0
+    for samples in ("0", "-1"):
+        rc = cli_main([
+            "adversary-eval", "--transcript", str(path), "--x-star", "0.5",
+            "--seed", "9", "--samples", samples,
+        ])
+        assert rc == 2
+    assert capsys.readouterr().err.count("--samples must be at least 1") == 2
 
 
 def test_cli_sweep_rejects_short_budget_list(capsys) -> None:

@@ -6,12 +6,12 @@ from scipy import stats
 from secopt import (
     ParameterError,
     RngStream,
-    gaussian_first_order,
     make_abs,
     make_uniformly_convex,
     noisy_sign_oracle,
     sign_oracle,
 )
+from secopt.protocol import _gradient_noise
 
 
 def test_stream_replay_and_child_independence() -> None:
@@ -33,9 +33,9 @@ def test_block_draws_equal_sequential_draws() -> None:
 
 def test_sign_oracle_cases() -> None:
     f = make_abs(0.5)
-    assert sign_oracle(f, 0.3).sign == -1
-    assert sign_oracle(f, 0.8).sign == 1
-    assert sign_oracle(f, 0.5).sign == 1  # tie convention
+    assert sign_oracle(f, 0.3) == -1
+    assert sign_oracle(f, 0.8) == 1
+    assert sign_oracle(f, 0.5) == 1  # tie convention
     f2 = make_uniformly_convex(2.0, 1.0, np.array([0.5, 0.5]))
     with pytest.raises(ParameterError):
         sign_oracle(f2, np.array([0.3, 0.3]))
@@ -53,7 +53,7 @@ def test_noisy_sign_frozen_replay() -> None:
     # frozen from the first run of this stream; any RNG-order change breaks it
     f = make_abs(0.5)
     gen = RngStream(42, (0,)).generator()
-    signs = [noisy_sign_oracle(f, 0.3, 0.75, gen).sign for _ in range(5)]
+    signs = [noisy_sign_oracle(f, 0.3, 0.75, gen) for _ in range(5)]
     assert signs == [1, 1, 1, -1, 1]
 
 
@@ -61,59 +61,41 @@ def test_noisy_sign_degenerate_p() -> None:
     f = make_abs(0.5)
     gen = RngStream(3, ()).generator()
     p = 1.0 - 1e-12
-    assert all(noisy_sign_oracle(f, 0.3, p, gen).sign == -1 for _ in range(10_000))
+    assert all(noisy_sign_oracle(f, 0.3, p, gen) == -1 for _ in range(10_000))
 
 
 def test_noisy_sign_flip_frequency() -> None:
     f = make_abs(0.5)
     gen = RngStream(5, ()).generator()
     n = 100_000
-    signs = np.array([noisy_sign_oracle(f, 0.3, 0.75, gen).sign for _ in range(n)])
+    signs = np.array([noisy_sign_oracle(f, 0.3, 0.75, gen) for _ in range(n)])
     freq = float((signs == -1).mean())
     assert 0.745 <= freq <= 0.755
 
 
 def test_gaussian_oracle_exact_when_sigma_zero() -> None:
-    f = make_uniformly_convex(2.0, 1.0, 0.5)
     gen = RngStream(1, ()).generator()
-    resp = gaussian_first_order(f, 0.7, 0.0, gen)
-    assert resp.value == pytest.approx(0.02, rel=1e-12)
-    assert resp.gradient == pytest.approx(0.2, rel=1e-12)
     before = gen.bit_generator.state
-    gaussian_first_order(f, 0.7, 0.0, gen)
+    assert _gradient_noise(gen, 0.0, 5) == [0.0] * 5
     assert gen.bit_generator.state == before  # sigma=0 consumes no draws
 
 
 def test_gaussian_oracle_draw_order_pinned() -> None:
-    f = make_uniformly_convex(2.0, 1.0, 0.5)
-    resp = gaussian_first_order(f, 0.7, 0.1, RngStream(9, (4,)).generator())
+    # each response draws its value noise first, then its gradient noise
+    noise = _gradient_noise(RngStream(9, (4,)).generator(), 0.1, 3)
     ref = RngStream(9, (4,)).generator()
-    assert resp.value == float(f.value(0.7)) + ref.normal(0.0, 0.1)
-    assert resp.gradient == float(f.subgrad(0.7)) + ref.normal(0.0, 0.1)
+    expected = []
+    for _ in range(3):
+        ref.normal(0.0, 0.1)
+        expected.append(ref.normal(0.0, 0.1))
+    assert noise == expected
 
 
 def test_gaussian_oracle_sample_statistics() -> None:
-    f = make_uniformly_convex(2.0, 1.0, 0.5)
-    gen = RngStream(12, ()).generator()
     n = 100_000
-    y1 = np.empty(n)
-    y2 = np.empty(n)
-    for i in range(n):
-        resp = gaussian_first_order(f, 0.7, 0.1, gen)
-        y1[i] = resp.value
-        y2[i] = resp.gradient
-    assert abs(y1.mean() - 0.02) <= 1e-3
-    assert 0.098 <= y1.std() <= 0.102
-    assert abs(y2.mean() - 0.2) <= 1e-3
+    z = np.array(_gradient_noise(RngStream(12, ()).generator(), 0.1, n))
+    assert abs(z.mean()) <= 1e-3
+    assert 0.098 <= z.std() <= 0.102
     # noise really is Gaussian, not merely centered
-    ks = stats.kstest((y1[:2000] - 0.02) / 0.1, "norm")
+    ks = stats.kstest(z[:2000] / 0.1, "norm")
     assert ks.pvalue > 0.01
-
-
-def test_gaussian_oracle_multidim_and_validation() -> None:
-    star = np.array([0.2, 0.8])
-    f = make_uniformly_convex(2.0, 1.0, star)
-    resp = gaussian_first_order(f, np.array([0.5, 0.5]), 0.0, RngStream(2, ()).generator())
-    assert np.allclose(resp.gradient, np.array([0.3, -0.3]))
-    with pytest.raises(ParameterError):
-        gaussian_first_order(f, np.array([0.5, 0.5]), -0.1, RngStream(2, ()).generator())

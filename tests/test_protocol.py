@@ -50,6 +50,11 @@ def test_config_validation() -> None:
         ProtocolConfig(mode="NoisyBisection", p=0.4).validate()
     with pytest.warns(UserWarning):
         ProtocolConfig(eps=0.03).validate()  # 2*eps > eps_adv
+    with pytest.raises(ParameterError):
+        ProtocolConfig(sigma=-0.1).validate()
+    for mode in ("Bisection", "ConvexEpochGD"):
+        with pytest.raises(ParameterError, match="below delta_adv"):
+            ProtocolConfig(mode=mode, eps=0.15).validate()  # eps >= delta_adv
 
 
 def test_config_hash_and_updates() -> None:
@@ -122,17 +127,6 @@ def test_run_is_deterministic_per_stream() -> None:
     c = _convex_run(seed=9)
     assert np.array_equal(a.points, b.points) and a.x_hat == b.x_hat
     assert not np.array_equal(a.points, c.points)
-
-
-def test_with_replacement_ablation() -> None:
-    config = ProtocolConfig(T=3000, with_replacement=True, overrides={"C0": 2.0})
-    f = make_uniformly_convex(2.0, 1.0, 0.42)
-    tr = run_secure_convex(config, f, RngStream(13, (0,)))
-    assert len(tr) == config.phases * config.subintervals
-    per_phase = tr.informative.reshape(config.phases, config.subintervals).sum(axis=1)
-    assert per_phase.max() > 1 or per_phase.min() == 0  # duplicates happen
-    # only realized home hits can feed the solver
-    assert tr.effective_gradients <= int(tr.informative.sum())
 
 
 def test_transcript_round_trip() -> None:
