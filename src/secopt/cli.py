@@ -109,28 +109,25 @@ def load_config(path: str | None, extras: list[str]) -> ProtocolConfig:
     return config
 
 
-def _print_summary(summary: BatchSummary, out=sys.stdout) -> None:
+def _print_summary(summary: BatchSummary) -> None:
     cfg = summary.config
     print(
         f"mode={cfg.mode} T={cfg.T} delta_adv={cfg.delta_adv} "
         f"n_trials={summary.n_trials}",
-        file=out,
     )
     print(
         f"delta_hat={summary.delta_hat:.6g} (target delta={cfg.delta}, "
         f"null se={summary.se_delta:.4g})",
-        file=out,
     )
     q10, q50, q90 = summary.point_quantiles
-    print(f"point_error q10/q50/q90: {q10:.6g} {q50:.6g} {q90:.6g}", file=out)
+    print(f"point_error q10/q50/q90: {q10:.6g} {q50:.6g} {q90:.6g}")
     q10, q50, q90 = summary.function_quantiles
-    print(f"function_error q10/q50/q90: {q10:.6g} {q50:.6g} {q90:.6g}", file=out)
+    print(f"function_error q10/q50/q90: {q10:.6g} {q50:.6g} {q90:.6g}")
     for name in ADVERSARY_ORDER:
-        print(f"adv {name}: success_rate={summary.adv_rates[name]:.6g}", file=out)
+        print(f"adv {name}: success_rate={summary.adv_rates[name]:.6g}")
     print(
         f"adv target delta_adv={cfg.delta_adv} (null se={summary.se_adv:.4g}); "
         f"mean trial time {summary.mean_ms:.1f} ms",
-        file=out,
     )
 
 

@@ -28,6 +28,12 @@ MODES = ("ConvexEpochGD", "Bisection", "NoisyBisection")
 # child stream indices hung off a trial's RngStream
 _STREAM_INIT, _STREAM_PERM, _STREAM_NOISE = 0, 1, 2
 
+# columns of a transcript text row; public files omit the last one
+_ROW_FIELDS = [
+    ("t", np.int64), ("points", np.float64), ("phase", np.int64),
+    ("sub", np.int64), ("informative", np.int64),
+]
+
 
 def subinterval_index(x: float, delta_adv: float) -> int:
     """1-based index of the subinterval containing x; the right edge of the
@@ -145,40 +151,43 @@ class Transcript:
 
     def to_text(self, public: bool = False) -> str:
         head = f"# secopt-transcript config={self.config_hash} mode={self.mode} public={int(public)}"
-        lines = [head]
-        pts = self.points
-        ph = self.phase
-        sub = self.sub
-        if public:
-            for t in range(pts.size):
-                lines.append(f"{t + 1},{float(pts[t])!r},{ph[t]},{sub[t]}")
-        else:
-            inf = self.informative
-            for t in range(pts.size):
-                lines.append(f"{t + 1},{float(pts[t])!r},{ph[t]},{sub[t]},{int(inf[t])}")
-        return "\n".join(lines) + "\n"
+        columns = [self.points.tolist(), self.phase.tolist(), self.sub.tolist()]
+        fmt = "%d,%r,%d,%d"  # %r of a Python float is its shortest round-trip repr
+        if not public:
+            columns.append(self.informative.tolist())
+            fmt += ",%d"
+        rows = zip(range(1, len(self) + 1), *columns)
+        return "\n".join([head, *(fmt % row for row in rows), ""])
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# secopt-transcript"):
             raise ParameterError("not a transcript: missing header line")
-        header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-        rows = [ln.split(",") for ln in lines[1:]]
+        try:
+            header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        except ValueError:
+            raise ParameterError(f"malformed transcript header {lines[0]!r}") from None
         public = header.get("public") == "1"
-        n = len(rows)
-        points = np.empty(n)
-        phase = np.empty(n, dtype=np.int64)
-        sub = np.empty(n, dtype=np.int64)
-        informative = np.zeros(n, dtype=bool)
-        for i, row in enumerate(rows):
-            points[i] = float(row[1])
-            phase[i] = int(row[2])
-            sub[i] = int(row[3])
-            if not public:
-                informative[i] = bool(int(row[4]))
+        row_dtype = np.dtype(_ROW_FIELDS[:4] if public else _ROW_FIELDS)
+        if len(lines) > 1:
+            try:
+                rows = np.loadtxt(lines[1:], dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                # numpy's message names the row and column; its usecols hint does not apply
+                reason = str(exc).split(";")[0]
+                raise ParameterError(
+                    f"malformed transcript data, expected {len(row_dtype)} "
+                    f"comma-separated numbers per row: {reason}"
+                ) from None
+        else:
+            rows = np.empty(0, dtype=row_dtype)
+        n = rows.size
+        informative = rows["informative"].astype(bool) if not public else np.zeros(n, dtype=bool)
+        sub = rows["sub"].copy()
         return cls(
-            points=points, phase=phase, sub=sub, informative=informative,
+            points=rows["points"].copy(), phase=rows["phase"].copy(), sub=sub,
+            informative=informative,
             x_hat=math.nan, effective_gradients=int(informative.sum()),
             config_hash=header.get("config", ""), mode=header.get("mode", ""),
             s_count=int(sub.max()) if n else 0,
@@ -289,8 +298,8 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     The candidate interval starts as the subinterval containing the optimizer
     (coarse localization is modeled as free; see the decisions ledger) and is
     halved by the home sign response each phase -- by the majority over m
-    repeated phases in NoisyBisection mode.  The run stops once the interval
-    width reaches eps or the phase budget K is spent.
+    repeated phases in NoisyBisection mode.  After the first halving, the run
+    stops once the interval width reaches eps or the phase budget K is spent.
     """
     config.validate()
     _require_1d(f)
@@ -314,7 +323,9 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     reps = majority_repetitions(config.p, config.eps, config.delta, delta_adv) if noisy else 1
 
     offsets: list[float] = []
-    while hi - lo > config.eps and len(offsets) < n_phases_max:
+    # the first halving always runs: eps < delta_adv, so ceil(log2(delta_adv/eps))
+    # >= 1, but hi - lo can round to just below delta_adv (0.4 - 0.30000000000000004)
+    while len(offsets) < n_phases_max and (not offsets or hi - lo > config.eps):
         mid = 0.5 * (lo + hi)
         this_round = min(reps, n_phases_max - len(offsets))
         offsets += [mid - base] * this_round

@@ -55,11 +55,15 @@ def test_noiseless_batch_csv_digest() -> None:
 
 
 def test_exported_transcript_rows_digest(tmp_path) -> None:
+    expected = {
+        (): "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12",
+        ("--public",): "5515ff3e4ef1e7e2e8e6c83ebe13063516e71a6aae7d3e75849e9ec0363a5418",
+    }
     out = tmp_path / "t.txt"
-    assert cli_main(["export-transcript", "--seed", "3", "--T=200000", "--out", str(out)]) == 0
-    assert _sha(_data_rows(out.read_bytes())) == (
-        "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12"
-    )
+    for flags, digest in expected.items():
+        argv = ["export-transcript", "--seed", "3", "--T=200000", "--out", str(out), *flags]
+        assert cli_main(argv) == 0
+        assert _sha(_data_rows(out.read_bytes())) == digest, flags
 
 
 def test_plain_control_transcript_digest() -> None:

@@ -1,4 +1,6 @@
 """Trial harness, CSV export, sweeps, bound comparisons, and the CLI."""
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -219,6 +221,38 @@ def test_cli_eps_not_below_delta_adv_exits_2(capsys) -> None:
     rc = cli_main(["run", "--seed", "1", "--mode=Bisection", "--T=2000", "--eps=0.15"])
     assert rc == 2
     assert "below delta_adv" in capsys.readouterr().err
+
+
+def test_cli_bisection_runs_first_halving_when_width_rounds_below_eps(tmp_path) -> None:
+    # 0.4 - 0.30000000000000004 < eps < delta_adv: ceil(log2(delta_adv/eps)) = 1
+    out = tmp_path / "trials.csv"
+    rc = cli_main([
+        "run", "--seed", "1", "-N", "2", "--mode=Bisection", "--T=2000",
+        "--eps=0.09999999999999999", "--x_star=0.35", "--out", str(out),
+    ])
+    assert rc == 0
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    assert [r[-2] for r in rows] == ["10", "10"]  # S * 1 queries
+
+
+def test_cli_run_summary_follows_redirected_stdout() -> None:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli_main(["run", "--seed", "7", "-N", "2", "--T=4000"])
+    assert rc == 0
+    assert "delta_hat=" in buf.getvalue()
+
+
+def test_cli_adversary_eval_malformed_transcript_exits_2(tmp_path, capsys) -> None:
+    path = tmp_path / "transcript.txt"
+    head = "# secopt-transcript config=abc mode=ConvexEpochGD public=0\n"
+    for row in ("1,abc,1,1,0", "1,0.5,1", "1,0.5,1,1,0,7"):
+        path.write_text(f"{head}1,0.25,1,3,1\n{row}\n")
+        rc = cli_main([
+            "adversary-eval", "--transcript", str(path), "--x-star", "0.5", "--seed", "9",
+        ])
+        assert rc == 2, row
+        assert "malformed transcript data" in capsys.readouterr().err
 
 
 def test_cli_adversary_eval_rejects_zero_samples(tmp_path, capsys) -> None:

@@ -1,8 +1,11 @@
-"""Replicated query protocol: schedule symmetry, determinism, bisection counts."""
+"""Replicated query protocol: schedule symmetry, determinism, bisection counts, text I/O."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secopt import (
     BudgetError,
@@ -142,6 +145,93 @@ def test_transcript_round_trip() -> None:
     assert pub.informative.sum() == 0
     with pytest.raises(ParameterError):
         Transcript.from_text("not a transcript\n1,2,3\n")
+
+
+def _reference_to_text(tr: Transcript, public: bool) -> str:
+    """Row-at-a-time formatter that Transcript.to_text must match byte for byte."""
+    lines = [f"# secopt-transcript config={tr.config_hash} mode={tr.mode} public={int(public)}"]
+    for t in range(tr.points.size):
+        row = f"{t + 1},{float(tr.points[t])!r},{tr.phase[t]},{tr.sub[t]}"
+        lines.append(row if public else f"{row},{int(tr.informative[t])}")
+    return "\n".join(lines) + "\n"
+
+
+_POINTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 0.30000000000000004]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_ROWS = st.lists(
+    st.tuples(_POINTS, st.integers(0, 2**62), st.integers(1, 2**62), st.booleans()),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rows=_ROWS, public=st.booleans())
+def test_text_round_trip_property(rows, public) -> None:
+    points, phase, sub, informative = zip(*rows) if rows else ([],) * 4
+    tr = Transcript(
+        points=np.array(points, dtype=np.float64), phase=np.array(phase, dtype=np.int64),
+        sub=np.array(sub, dtype=np.int64), informative=np.array(informative, dtype=bool),
+        x_hat=math.nan, effective_gradients=0, config_hash="abc123", mode="Bisection",
+        s_count=0,
+    )
+    text = tr.to_text(public=public)
+    assert text == _reference_to_text(tr, public)
+    back = Transcript.from_text(text)
+    for name in ("points", "phase", "sub"):
+        assert getattr(back, name).dtype == getattr(tr, name).dtype
+        assert np.array_equal(getattr(back, name), getattr(tr, name))
+    assert back.informative.dtype == np.bool_
+    expected_inf = np.zeros(len(tr), dtype=bool) if public else tr.informative
+    assert np.array_equal(back.informative, expected_inf)
+    assert back.effective_gradients == int(expected_inf.sum())
+    assert back.s_count == (max(sub) if rows else 0)
+    assert (back.config_hash, back.mode) == ("abc123", "Bisection")
+
+
+def test_from_text_skips_blank_lines_and_crlf() -> None:
+    tr = _convex_run(t=800)
+    clean = Transcript.from_text(tr.to_text())
+    head, *rows = tr.to_text().splitlines()
+    messy = "\n \n" + head + "\r\n\t\r\n" + "\r\n  \r\n".join(rows) + "\r\n\r\n"
+    back = Transcript.from_text(messy)
+    for name in ("points", "phase", "sub", "informative"):
+        assert np.array_equal(getattr(back, name), getattr(clean, name))
+    assert back.s_count == clean.s_count == 10
+
+
+def test_from_text_header_only_gives_empty_transcript() -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for public in (0, 1):
+            tr = Transcript.from_text(
+                f"\n# secopt-transcript config=abc mode=Bisection public={public}\n  \n"
+            )
+            assert len(tr) == 0 and tr.s_count == 0 and tr.effective_gradients == 0
+            assert (tr.points.dtype, tr.phase.dtype, tr.sub.dtype, tr.informative.dtype) == (
+                np.float64, np.int64, np.int64, np.bool_,
+            )
+
+
+def test_from_text_rejects_malformed_rows() -> None:
+    private = "# secopt-transcript config=abc mode=Bisection public=0\n"
+    public = "# secopt-transcript config=abc mode=Bisection public=1\n"
+    bad = [
+        private + "1,abc,1,1,0\n",  # non-numeric point
+        private + "1,0.5,1,1,0\n2,0.5,x,1,0\n",  # non-numeric phase in a later row
+        private + "z,0.5,1,1,0\n",  # non-numeric index
+        private + "1,0.5,1.5,1,0\n",  # fractional phase
+        private + "1,0.5,1,1\n",  # too few columns
+        private + "1,0.5,1,1,0\n2,0.5,1\n",
+        private + "1,0.5,1,1,0,7\n",  # too many columns
+        private + "1,0.5,1,1,0,\n",
+        public + "1,0.5,1,1,0\n",  # private row under a public header
+        "# secopt-transcript config=abc stray\n",  # header token without '='
+    ]
+    for text in bad:
+        with pytest.raises(ParameterError):
+            Transcript.from_text(text)
 
 
 def test_public_view_is_a_pure_copy() -> None:
