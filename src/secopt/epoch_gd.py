@@ -5,14 +5,16 @@ The solver runs in epochs whose lengths double while the step size shrinks by
 projected step onto domain  intersect  [anchor - R_e, anchor + R_e]; at an epoch
 boundary the next anchor is the average of the epoch's first T_e iterates.  The
 state is resumable: propose() says where the next gradient is wanted and feed()
-consumes it.  epoch_gd_drive() is the one loop over that pair that the
-protocols use.
+consumes it.  epoch_gd_drive(), which the protocols use, runs the same steps
+as one loop per epoch; it and propose() share the one epoch-boundary helper.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Any
 
 import numpy as np
@@ -110,31 +112,34 @@ def epoch_gd_init(
     return state
 
 
+def _start_next_epoch(state: EpochGdState) -> None:
+    """Epoch boundary: anchor at the average of the epoch's first T_e iterates,
+    double T_e, shrink eta and R; done once the budget cannot cover the new epoch."""
+    lo, hi = state.domain
+    new_anchor = min(max(state.epoch_sum / state.epoch_len, lo), hi)
+    state.epoch += 1
+    state.epoch_len *= 2
+    state.eta *= state.shrink
+    state.radius = (state.constants["C2"] * state.eta / state.lam) ** (1.0 / state.kappa)
+    state.anchor = new_anchor
+    state.iterate = new_anchor
+    state.epoch_sum = 0.0
+    state.fed_in_epoch = 0
+    state.planned += state.epoch_len
+    if state.planned > state.t_budget:
+        state.done = True
+
+
 def epoch_gd_propose(state: EpochGdState) -> float:
     """Next query point: the current iterate, or the epoch average at a boundary.
 
     Idempotent until the next feed.  Once the budget cannot cover another
     epoch the state is done and the final anchor is returned unchanged.
     """
+    if not state.done and state.fed_in_epoch == state.epoch_len:
+        _start_next_epoch(state)
     if state.done:
         return state.anchor
-    if state.fed_in_epoch == state.epoch_len:
-        # epoch boundary: average of the epoch's first T_e iterates
-        new_anchor = state.epoch_sum / state.epoch_len
-        lo, hi = state.domain
-        new_anchor = min(max(new_anchor, lo), hi)
-        state.epoch += 1
-        state.epoch_len *= 2
-        state.eta *= state.shrink
-        state.radius = (state.constants["C2"] * state.eta / state.lam) ** (1.0 / state.kappa)
-        state.anchor = new_anchor
-        state.iterate = new_anchor
-        state.epoch_sum = 0.0
-        state.fed_in_epoch = 0
-        state.planned += state.epoch_len
-        if state.planned > state.t_budget:
-            state.done = True
-            return state.anchor
     state._proposed = True
     return state.iterate
 
@@ -167,13 +172,39 @@ def epoch_gd_drive(
     Step k proposes a point and, while the solver is not done, feeds
     subgrad(point) + grad_noise[k].  Once done, the remaining steps propose
     the frozen final anchor.  Returns the proposals and the gradients fed.
+
+    Each epoch runs as one loop over locals doing the float operations of
+    propose + feed in the same order, so the results are bit-identical to
+    stepping through that pair.
     """
-    proposals = np.empty(len(grad_noise))
+    proposals = array("d")
+    append = proposals.append
+    noise = iter(grad_noise)
+    n = len(grad_noise)
     fed = 0
-    for k, z in enumerate(grad_noise):
-        x = epoch_gd_propose(state)
-        proposals[k] = x
-        if not state.done:
-            epoch_gd_feed(state, float(subgrad(x)) + z)
-            fed += 1
-    return proposals, fed
+    while fed < n and not state.done:
+        if state.fed_in_epoch == state.epoch_len:
+            _start_next_epoch(state)
+            continue
+        steps = min(state.epoch_len - state.fed_in_epoch, n - fed)
+        eta = state.eta
+        lo = max(state.domain[0], state.anchor - state.radius)
+        hi = min(state.domain[1], state.anchor + state.radius)
+        x = state.iterate
+        s = state.epoch_sum
+        for z in islice(noise, steps):
+            append(x)
+            s += x
+            x -= eta * (float(subgrad(x)) + z)
+            if x < lo:
+                x = lo
+            elif x > hi:
+                x = hi
+        state.iterate = x
+        state.epoch_sum = s
+        state.fed_in_epoch += steps
+        state.total_fed += steps
+        state._proposed = False
+        fed += steps
+    proposals.extend(repeat(state.anchor, n - fed))
+    return np.frombuffer(proposals), fed

@@ -33,6 +33,7 @@ _ROW_FIELDS = [
     ("t", np.int64), ("points", np.float64), ("phase", np.int64),
     ("sub", np.int64), ("informative", np.int64),
 ]
+_HEADER_KEYS = {"config", "mode", "public"}
 
 
 def subinterval_index(x: float, delta_adv: float) -> int:
@@ -164,10 +165,18 @@ class Transcript:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# secopt-transcript"):
             raise ParameterError("not a transcript: missing header line")
+        tokens = lines[0].split()[2:]
         try:
-            header = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+            header = dict(tok.split("=", 1) for tok in tokens)
         except ValueError:
             raise ParameterError(f"malformed transcript header {lines[0]!r}") from None
+        if len(header) != len(tokens) or not set(header) <= _HEADER_KEYS:
+            raise ParameterError(
+                f"malformed transcript header {lines[0]!r}: "
+                f"keys must be distinct and among {sorted(_HEADER_KEYS)}"
+            )
+        if header.get("public", "0") not in ("0", "1"):
+            raise ParameterError(f"transcript header public={header['public']!r} is not 0 or 1")
         public = header.get("public") == "1"
         row_dtype = np.dtype(_ROW_FIELDS[:4] if public else _ROW_FIELDS)
         if len(lines) > 1:
@@ -183,7 +192,15 @@ class Transcript:
         else:
             rows = np.empty(0, dtype=row_dtype)
         n = rows.size
-        informative = rows["informative"].astype(bool) if not public else np.zeros(n, dtype=bool)
+        if not np.array_equal(rows["t"], np.arange(1, n + 1)):
+            raise ParameterError("malformed transcript data: rows must be numbered 1..n in order")
+        if public:
+            informative = np.zeros(n, dtype=bool)
+        else:
+            flags = rows["informative"]
+            if not np.all((flags == 0) | (flags == 1)):
+                raise ParameterError("malformed transcript data: informative must be 0 or 1")
+            informative = flags.astype(bool)
         sub = rows["sub"].copy()
         return cls(
             points=rows["points"].copy(), phase=rows["phase"].copy(), sub=sub,

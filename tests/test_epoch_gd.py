@@ -1,8 +1,11 @@
 """Epoch-doubling projected subgradient solver: schedule, stepping, convergence."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secopt import (
     DomainError,
@@ -193,3 +196,64 @@ def test_noiseless_sweep_never_slower_than_noisy() -> None:
             noisy.append(abs(_solve(f, 0.1, budget, 0.05, 2.0, stream) - 0.35))
             clean.append(abs(_solve(f, 0.0, budget, 0.05, 2.0, stream) - 0.35))
         assert np.median(clean) <= np.median(noisy)
+
+
+def _reference_drive(state, subgrad, grad_noise) -> tuple[np.ndarray, int]:
+    """Per-step propose/feed loop that epoch_gd_drive must match bit for bit."""
+    proposals, fed = [], 0
+    for z in grad_noise:
+        x = epoch_gd_propose(state)
+        proposals.append(x)
+        if not state.done:
+            epoch_gd_feed(state, float(subgrad(x)) + z)
+            fed += 1
+    return np.array(proposals, dtype=np.float64), fed
+
+
+def _state_repr(state) -> list[str]:
+    # repr tells -0.0 from 0.0 and keeps every bit of a float
+    return [f"{f.name}={getattr(state, f.name)!r}" for f in fields(state)]
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    kappa=st.one_of(st.sampled_from([2.0, 3.0]), st.floats(min_value=2.0, max_value=4.0)),
+    lam=st.floats(min_value=0.25, max_value=4.0),
+    c0=st.one_of(st.none(), st.floats(min_value=1.0, max_value=4.0)),
+    budget=st.integers(1, 5000),
+    n_noise=st.integers(0, 6000),
+    x_init=st.one_of(st.sampled_from([0.0, 1.0]), _UNIT),
+    x_star=st.one_of(st.sampled_from([0.0, 1.0]), _UNIT),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+    seed=st.integers(0, 2**32 - 1),
+    pre_propose=st.booleans(),
+)
+def test_drive_matches_per_step_loop(
+    kappa, lam, c0, budget, n_noise, x_init, x_star, sigma, seed, pre_propose
+) -> None:
+    # noise length is drawn apart from the budget, so a run can end mid-epoch,
+    # before the budget is spent, or long after the solver is done
+    n_noise = min(n_noise, budget + 500)
+    overrides = None if c0 is None else {"C0": c0}
+    f = make_uniformly_convex(kappa, lam, x_star)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, n_noise).tolist()
+    states = [
+        epoch_gd_init(kappa, lam, 0.05, 2.0, budget, x_init, overrides=overrides)
+        for _ in range(2)
+    ]
+    if pre_propose:  # a proposal left pending before the drive starts
+        for state in states:
+            epoch_gd_propose(state)
+    got, got_fed = epoch_gd_drive(states[0], f.subgrad, noise)
+    want, want_fed = _reference_drive(states[1], f.subgrad, noise)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert got_fed == want_fed
+    assert _state_repr(states[0]) == _state_repr(states[1])
+    # the public stepping API continues from the driven state as from the reference's
+    tails = [_reference_drive(state, f.subgrad, noise[:50]) for state in states]
+    assert tails[0][0].tobytes() == tails[1][0].tobytes() and tails[0][1] == tails[1][1]
+    assert _state_repr(states[0]) == _state_repr(states[1])

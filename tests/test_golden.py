@@ -54,6 +54,18 @@ def test_noiseless_batch_csv_digest() -> None:
     )
 
 
+def test_non_quadratic_batch_csv_digests() -> None:
+    # kappa != 2 takes the |d|**(kappa-2) branch of subgrad; recorded before
+    # the solver's drive loop ran each epoch as one loop over locals
+    expected = {
+        3.0: "3e7c1d8ed314e20e3bd7c921667a66955df4b3b16387e1c3bf81df601eb57d3d",
+        2.5: "c3374f654dca902acf6a58d6514799b32ec1a52d27dc5c6eae4da29afabc234d",
+    }
+    for kappa, digest in expected.items():
+        summary = run_batch(ProtocolConfig(kappa=kappa, T=50000), 6, master_seed=11)
+        assert _sha(export_csv(summary).encode()) == digest, kappa
+
+
 def test_exported_transcript_rows_digest(tmp_path) -> None:
     expected = {
         (): "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12",

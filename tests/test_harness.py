@@ -255,6 +255,23 @@ def test_cli_adversary_eval_malformed_transcript_exits_2(tmp_path, capsys) -> No
         assert "malformed transcript data" in capsys.readouterr().err
 
 
+def test_cli_adversary_eval_unchecked_fields_exit_2(tmp_path, capsys) -> None:
+    path = tmp_path / "transcript.txt"
+    rows = "1,0.25,1,3,1\n2,0.5,1,6,0\n"
+    texts = [
+        "# secopt-transcript config=abc mode=ConvexEpochGD public=0\n7,0.5,1,1,2\n7,0.25,1,3,-1\n",
+        "# secopt-transcript config=abc mode=ConvexEpochGD public=yes bogus=1\n" + rows,
+        "# secopt-transcript config=abc mode=ConvexEpochGD public=0 bogus=1\n" + rows,
+    ]
+    for text in texts:
+        path.write_text(text)
+        rc = cli_main([
+            "adversary-eval", "--transcript", str(path), "--x-star", "0.5", "--seed", "9",
+        ])
+        assert rc == 2, text
+        assert "transcript" in capsys.readouterr().err
+
+
 def test_cli_adversary_eval_rejects_zero_samples(tmp_path, capsys) -> None:
     path = tmp_path / "transcript.txt"
     assert cli_main(["export-transcript", "--seed", "3", "--out", str(path), "--T=2000"]) == 0

@@ -234,6 +234,29 @@ def test_from_text_rejects_malformed_rows() -> None:
             Transcript.from_text(text)
 
 
+def test_from_text_rejects_bad_index_flags_and_header() -> None:
+    private = "# secopt-transcript config=abc mode=Bisection public=0\n"
+    public = "# secopt-transcript config=abc mode=Bisection public=1\n"
+    bad = [
+        private + "7,0.5,1,1,2\n7,0.25,1,3,-1\n",  # index not 1..n, flags not 0/1
+        private + "1,0.5,1,1,0\n1,0.25,1,3,1\n",  # repeated index
+        private + "2,0.5,1,1,0\n1,0.25,1,3,1\n",  # rows out of order
+        private + "0,0.5,1,1,0\n",
+        public + "1,0.5,1,1\n3,0.25,1,3\n",  # gap in a public file
+        private + "1,0.5,1,1,2\n",  # informative flag 2
+        private + "1,0.5,1,1,-1\n",
+        "# secopt-transcript config=abc mode=Bisection public=yes\n1,0.5,1,1,0\n",
+        "# secopt-transcript config=abc mode=Bisection public=\n",
+        "# secopt-transcript config=abc mode=Bisection public=1 bogus=1\n",
+        "# secopt-transcript config=abc mode=Bisection public=0 public=1\n",  # repeated key
+    ]
+    for text in bad:
+        with pytest.raises(ParameterError):
+            Transcript.from_text(text)
+    ok = Transcript.from_text(private + "1,0.5,1,1,0\n2,0.25,1,3,1\n")
+    assert ok.informative.tolist() == [False, True] and ok.effective_gradients == 1
+
+
 def test_public_view_is_a_pure_copy() -> None:
     tr = _convex_run(t=800)
     pub = tr.public_view()
