@@ -10,8 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ParameterError
 from .functions import HardPair
 
@@ -74,7 +72,6 @@ def lower_bound_convex(
     error_kind: str = "function",
     c: float = 1.0,
     eps_adv: float | None = None,
-    d: int = 1,
 ) -> float:
     """Gaussian first-order floor: c * sigma^2 * (ln 2 - h2(delta)) / (delta_adv * eps^q)
     with q = (2*kappa-2)/kappa for function error and 2*kappa-2 for point error."""
@@ -91,12 +88,10 @@ def lower_bound_convex(
         raise ParameterError(
             f"delta must lie in [0, 1/2) so ln2 - h2(delta) stays positive, got {delta}"
         )
-    if eps_adv is not None and not (
-        2.0 * math.sqrt(d) * eps <= eps_adv <= delta_adv ** (1.0 / d)
-    ):
+    if eps_adv is not None and not 2.0 * eps <= eps_adv <= delta_adv:
         warnings.warn(
-            f"outside the regime 2*sqrt(d)*eps <= eps_adv <= delta_adv^(1/d) "
-            f"(eps={eps}, eps_adv={eps_adv}, delta_adv={delta_adv}, d={d})",
+            f"outside the regime 2*eps <= eps_adv <= delta_adv "
+            f"(eps={eps}, eps_adv={eps_adv}, delta_adv={delta_adv})",
             stacklevel=2,
         )
     q = (2.0 * kappa - 2.0) / kappa if error_kind == "function" else 2.0 * kappa - 2.0
@@ -120,7 +115,7 @@ def upper_bound_rates(T: int, delta_adv: float, kappa: float) -> tuple[float, fl
 
 def kl_gaussian_pair(pair: HardPair, x, sigma: float) -> float:
     """KL divergence between the Gaussian first-order responses of the two
-    pair members at x: ((f1-f2)^2 + ||g1-g2||^2) / (2*sigma^2).
+    pair members at x: ((f1-f2)^2 + (g1-g2)^2) / (2*sigma^2).
 
     Symmetric in the pair, and exactly 0 wherever the members coincide.
     sigma = 0 returns +inf at any distinguishing point (0 where they agree).
@@ -128,8 +123,8 @@ def kl_gaussian_pair(pair: HardPair, x, sigma: float) -> float:
     if sigma < 0.0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
     df = float(pair.f1.value(x)) - float(pair.f2.value(x))
-    dg = np.asarray(pair.f1.subgrad(x), dtype=float) - np.asarray(pair.f2.subgrad(x), dtype=float)
-    gap = df * df + float(np.sum(dg * dg))
+    dg = float(pair.f1.subgrad(x)) - float(pair.f2.subgrad(x))
+    gap = df * df + dg * dg
     if sigma == 0.0:
         return 0.0 if gap == 0.0 else math.inf
     return gap / (2.0 * sigma * sigma)

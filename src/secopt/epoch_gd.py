@@ -11,6 +11,7 @@ as one loop per epoch; it and propose() share the one epoch-boundary helper.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -42,6 +43,22 @@ def default_constants(
     )
     c2 = 2.0 ** (kappa / (2.0 * kappa - 2.0)) * w * w
     return {"C0": c0, "C1": c1, "C2": c2}
+
+
+def check_overrides(overrides: object) -> None:
+    """Reject schedule-constant overrides other than a map from C0/C1/C2 to
+    finite positive numbers; None means no overrides."""
+    if overrides is None:
+        return
+    if not isinstance(overrides, dict):
+        raise ParameterError(f"overrides must be a map, got {overrides!r}")
+    unknown = set(overrides) - set(_OVERRIDE_KEYS)
+    if unknown:
+        raise ParameterError(f"unknown constant overrides: {sorted(unknown)}")
+    for key, value in overrides.items():
+        is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (is_number and math.isfinite(value) and value > 0.0):
+            raise ParameterError(f"constant override {key}={value!r} must be a finite number > 0")
 
 
 @dataclass(slots=True)
@@ -89,11 +106,9 @@ def epoch_gd_init(
     if not lo <= x_init <= hi:
         raise DomainError(f"x_init {x_init} outside domain {domain}")
 
+    check_overrides(overrides)
     constants = default_constants(kappa, lam, w, delta, int(t_budget))
     if overrides:
-        unknown = set(overrides) - set(_OVERRIDE_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown constant overrides: {sorted(unknown)}")
         constants.update({k: float(v) for k, v in overrides.items()})
 
     shrink = 2.0 ** (-kappa / (2.0 * kappa - 2.0))

@@ -84,8 +84,7 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 def sample_x_star(config: ProtocolConfig, stream: RngStream) -> float:
     """Fixed config.x_star, or uniform on [0.05, 0.95] (keeps the optimizer off
-    the domain edges and, for canonical delta_adv, out of the unqueried
-    remainder segment)."""
+    the domain edges)."""
     if config.x_star is not None:
         return float(config.x_star)
     return float(stream.child(_CHILD_XSTAR).generator().uniform(0.05, 0.95))

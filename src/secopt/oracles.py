@@ -31,8 +31,6 @@ class RngStream:
 
 def sign_oracle(f: FunctionInstance, x: float) -> int:
     """Exact sign of the subgradient at x; a zero subgradient reports +1."""
-    if f.dim != 1:
-        raise ParameterError("sign oracle is defined for 1-d instances only")
     return 1 if float(f.subgrad(x)) >= 0.0 else -1
 
 

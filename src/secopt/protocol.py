@@ -1,11 +1,12 @@
 """Replicated query protocols that hide the learner's progress.
 
-The domain [0, 1] is split into S = floor(1/delta_adv) subintervals of length
-delta_adv.  Each phase the confidential computation (epoch-doubling descent or
-interval bisection) proposes a point xbar; the protocol queries the point's
-offset replicated across all S subintervals in uniformly random order, and
-only the response at the home subinterval (the one containing xbar) is fed
-back.  An eavesdropper sees S indistinguishable clusters per phase.
+The domain [0, 1] is tiled by S = floor(1/delta_adv) subintervals of width
+1/S (at least delta_adv).  Each phase the confidential computation
+(epoch-doubling descent or interval bisection) proposes a point xbar; the
+protocol queries the point's offset replicated across all S subintervals in
+uniformly random order, and only the response at the home subinterval (the
+one containing xbar) is fed back.  An eavesdropper sees S indistinguishable
+clusters per phase.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .epoch_gd import epoch_gd_drive, epoch_gd_estimate, epoch_gd_init
+from .epoch_gd import check_overrides, epoch_gd_drive, epoch_gd_estimate, epoch_gd_init
 from .errors import BudgetError, DomainError, ParameterError
 from .functions import FunctionInstance
 from .oracles import RngStream, noisy_sign_oracle, sign_oracle
@@ -37,12 +38,12 @@ _HEADER_KEYS = {"config", "mode", "public"}
 
 
 def subinterval_index(x: float, delta_adv: float) -> int:
-    """1-based index of the subinterval containing x; the right edge of the
-    S-th subinterval absorbs everything up to 1."""
+    """1-based index of the subinterval of width 1/S, S = floor(1/delta_adv),
+    containing x; x = 1 belongs to the S-th."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
     s_count = math.floor(1.0 / delta_adv)
-    return min(math.floor(x / delta_adv) + 1, s_count)
+    return min(math.floor(x / (1.0 / s_count)) + 1, s_count)
 
 
 @dataclass
@@ -68,6 +69,10 @@ class ProtocolConfig:
         return math.floor(1.0 / self.delta_adv)
 
     @property
+    def cell_width(self) -> float:
+        return 1.0 / self.subintervals
+
+    @property
     def phases(self) -> int:
         return self.T // self.subintervals
 
@@ -87,8 +92,11 @@ class ProtocolConfig:
             )
         if not self.eps > 0.0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
-        if not self.eps < self.delta_adv:
-            raise ParameterError(f"eps={self.eps} must be below delta_adv={self.delta_adv}")
+        if not self.eps < min(self.delta_adv, self.cell_width):
+            raise ParameterError(
+                f"eps={self.eps} must be below delta_adv={self.delta_adv} "
+                f"and the subinterval width 1/S={self.cell_width}"
+            )
         if 2.0 * self.eps > self.eps_adv:
             warnings.warn(
                 f"accuracy target eps={self.eps} violates 2*eps <= eps_adv={self.eps_adv}; "
@@ -108,6 +116,7 @@ class ProtocolConfig:
                 raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
         if self.mode == "NoisyBisection" and not 0.5 < self.p < 1.0:
             raise ParameterError(f"p must lie in (0.5, 1), got {self.p}")
+        check_overrides(self.overrides)
         if self.x_star is not None and not 0.0 <= self.x_star <= 1.0:
             raise DomainError(f"x_star={self.x_star} outside [0, 1]")
         if self.T < self.subintervals:
@@ -142,7 +151,6 @@ class Transcript:
     config_hash: str
     mode: str
     s_count: int
-    remainder_risk: bool = False
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -227,14 +235,9 @@ def _gradient_noise(gen: np.random.Generator, sigma: float, n: int) -> list[floa
     return [0.0] * n
 
 
-def _home_index(points: np.ndarray, delta_adv: float, s_count: int) -> np.ndarray:
+def _home_index(points: np.ndarray, s_count: int) -> np.ndarray:
     """subinterval_index over an array of points."""
-    return np.minimum(np.floor(points / delta_adv).astype(np.int64) + 1, s_count)
-
-
-def _require_1d(f: FunctionInstance) -> None:
-    if f.dim != 1:
-        raise ParameterError("replicated protocols run on 1-d instances")
+    return np.minimum(np.floor(points / (1.0 / s_count)).astype(np.int64) + 1, s_count)
 
 
 def _solve_convex(
@@ -262,7 +265,7 @@ def _replicated_transcript(
     only the query in subinterval homes[k] is informative."""
     s_count = config.subintervals
     return Transcript(
-        points=(orders * config.delta_adv + offsets[:, None]).ravel(),
+        points=(orders * config.cell_width + offsets[:, None]).ravel(),
         phase=np.repeat(np.arange(1, len(offsets) + 1, dtype=np.int64), s_count),
         sub=(orders + 1).astype(np.int64).ravel(),
         informative=(orders == (homes - 1)[:, None]).ravel(),
@@ -280,30 +283,29 @@ def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStrea
     solver point is drawn uniformly and is not itself submitted as a query.
     """
     config.validate()
-    _require_1d(f)
     if config.mode != "ConvexEpochGD":
         raise ParameterError(f"run_secure_convex requires ConvexEpochGD mode, got {config.mode}")
     s_count = config.subintervals
     n_phases = config.phases
-    delta_adv = config.delta_adv
     xbars, fed, x_hat = _solve_convex(config, f, rng, n_phases)
-    homes = _home_index(xbars, delta_adv, s_count)
+    homes = _home_index(xbars, s_count)
     orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
     return _replicated_transcript(
-        config, orders, xbars - (homes - 1) * delta_adv, homes,
+        config, orders, xbars - (homes - 1) * config.cell_width, homes,
         x_hat=x_hat, effective_gradients=fed,
     )
 
 
-def majority_repetitions(p: float, eps: float, delta: float, delta_adv: float) -> int:
-    """Votes per bisection decision so all majorities are right w.p. >= 1-delta.
+def majority_repetitions(p: float, eps: float, delta: float, width: float) -> int:
+    """Votes per bisection decision so all majorities are right w.p. >= 1-delta
+    while an interval of the given width is halved down to eps.
 
-    Hoeffding sizing m >= ln(2*log2(delta_adv/eps)/delta) / (2*(p-1/2)^2),
+    Hoeffding sizing m >= ln(2*log2(width/eps)/delta) / (2*(p-1/2)^2),
     bumped to the next odd integer so a majority vote cannot tie.
     """
     if not 0.5 < p < 1.0:
         raise ParameterError(f"p must lie in (0.5, 1), got {p}")
-    halvings = max(math.log2(delta_adv / eps), 1.0)
+    halvings = max(math.log2(width / eps), 1.0)
     m = math.ceil(math.log(2.0 * halvings / delta) / (2.0 * (p - 0.5) ** 2))
     m = max(m, 1)
     return m if m % 2 == 1 else m + 1
@@ -315,36 +317,36 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     The candidate interval starts as the subinterval containing the optimizer
     (coarse localization is modeled as free; see the decisions ledger) and is
     halved by the home sign response each phase -- by the majority over m
-    repeated phases in NoisyBisection mode.  After the first halving, the run
-    stops once the interval width reaches eps or the phase budget K is spent.
+    repeated phases in NoisyBisection mode.  It makes the k decisions that
+    bring the width 1/S down to eps, or fewer if the phase budget K runs out.
     """
     config.validate()
-    _require_1d(f)
     if config.mode not in ("Bisection", "NoisyBisection"):
         raise ParameterError(f"run_secure_bisection requires a bisection mode, got {config.mode}")
     s_count = config.subintervals
     n_phases_max = config.phases
-    delta_adv = config.delta_adv
+    width = config.cell_width
     noisy = config.mode == "NoisyBisection"
 
-    x_star = float(f.x_star)
-    if not 0.0 <= x_star <= 1.0:
-        raise DomainError(f"optimizer {x_star} outside [0, 1]")
-    home = subinterval_index(x_star, delta_adv)
-    remainder_risk = x_star > s_count * delta_adv
+    home = subinterval_index(float(f.x_star), config.delta_adv)
 
     noise_gen = rng.child(_STREAM_NOISE).generator()
-    base = (home - 1) * delta_adv
+    base = (home - 1) * width
     lo = base
-    hi = min(home * delta_adv, 1.0)
-    reps = majority_repetitions(config.p, config.eps, config.delta, delta_adv) if noisy else 1
+    hi = min(home * width, 1.0)
+    reps = majority_repetitions(config.p, config.eps, config.delta, width) if noisy else 1
+    # smallest k with eps * 2^k >= width; ldexp is exact, a rounded hi - lo is not
+    halvings = 0
+    while math.ldexp(config.eps, halvings) < width:
+        halvings += 1
 
     offsets: list[float] = []
-    # the first halving always runs: eps < delta_adv, so ceil(log2(delta_adv/eps))
-    # >= 1, but hi - lo can round to just below delta_adv (0.4 - 0.30000000000000004)
-    while len(offsets) < n_phases_max and (not offsets or hi - lo > config.eps):
-        mid = 0.5 * (lo + hi)
+    for _ in range(halvings):
+        # a round cut short by the budget applies a best-effort majority
         this_round = min(reps, n_phases_max - len(offsets))
+        if this_round == 0:
+            break
+        mid = 0.5 * (lo + hi)
         offsets += [mid - base] * this_round
         if noisy:
             votes = sum(noisy_sign_oracle(f, mid, config.p, noise_gen) for _ in range(this_round))
@@ -354,8 +356,6 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
             hi = mid
         else:
             lo = mid
-        if this_round < reps:
-            break  # budget exhausted mid-decision; best-effort majority applied
 
     n_phases = len(offsets)
     # nothing else reads the order stream, so one block after the loop gives the
@@ -363,7 +363,7 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
     return _replicated_transcript(
         config, orders, np.asarray(offsets), np.full(n_phases, home, dtype=np.int64),
-        x_hat=0.5 * (lo + hi), effective_gradients=n_phases, remainder_risk=remainder_risk,
+        x_hat=0.5 * (lo + hi), effective_gradients=n_phases,
     )
 
 
@@ -373,13 +373,12 @@ def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream
     Leaks the query trajectory; used as the negative control in privacy tests.
     """
     config.validate()
-    _require_1d(f)
     t_budget = config.T
     s_count = config.subintervals
     points, fed, x_hat = _solve_convex(config, f, rng, t_budget)
     return Transcript(
         points=points, phase=np.arange(1, t_budget + 1, dtype=np.int64),
-        sub=_home_index(points, config.delta_adv, s_count),
+        sub=_home_index(points, s_count),
         informative=np.ones(t_budget, dtype=bool),
         x_hat=x_hat, effective_gradients=fed,
         config_hash=config.config_hash(), mode="PlainEpochGD", s_count=s_count,

@@ -159,6 +159,9 @@ def test_init_validation() -> None:
         epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 1.5)
     with pytest.raises(ParameterError):
         epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 0.5, overrides={"C9": 1.0})
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "2", True):
+        with pytest.raises(ParameterError):
+            epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 0.5, overrides={"C0": bad})
 
 
 def test_noiseless_convergence() -> None:

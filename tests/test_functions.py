@@ -1,6 +1,4 @@
 """Problem-instance families: values, subgradients, hard-pair geometry."""
-import math
-
 import numpy as np
 import pytest
 
@@ -50,15 +48,6 @@ def test_uniformly_convex_validation() -> None:
         make_uniformly_convex(2.0, -1.0, 0.5)
     with pytest.raises(DomainError):
         make_uniformly_convex(2.0, 1.0, 2.0)
-
-
-def test_uniformly_convex_multidim() -> None:
-    star = np.array([0.25, 0.75])
-    f = make_uniformly_convex(2.0, 2.0, star)
-    x = np.array([0.5, 0.5])
-    assert f.value(x) == pytest.approx(np.sum((x - star) ** 2), rel=1e-12)
-    assert np.allclose(f.subgrad(x), 2.0 * (x - star))
-    assert np.array_equal(f.subgrad(star), np.zeros(2))
 
 
 def test_hard_pair_no_crossing_raises_by_default() -> None:
@@ -135,14 +124,3 @@ def test_hard_pair_numeric_kappa_path() -> None:
     assert q(r + 0.5) > 0.0 and q(-r - 0.5) > 0.0  # outermost crossing
     # vertex of the shifted bowl still dominates: c2 >= c0 eps^3
     assert pair.f1.x_star == pytest.approx(2.5, abs=1e-9)
-
-
-def test_hard_pair_multidim_diagonal() -> None:
-    pair = make_hard_pair(c2=1.6, d=2, **PAIR_ARGS)
-    shift = 0.5 / math.sqrt(2.0)
-    assert np.allclose(pair.f1.x_star, np.array([3.0 - shift, 3.0 - shift]))
-    assert np.allclose(pair.f2.x_star, np.array([3.0 + shift, 3.0 + shift]))
-    sep = float(np.linalg.norm(np.asarray(pair.f1.x_star) - np.asarray(pair.f2.x_star)))
-    assert sep == pytest.approx(2.0 * pair.eps, rel=1e-12)
-    far = np.array([3.0 + pair.region_j.radius + 1.0, 3.0])
-    assert pair.f1.value(far) == pair.f2.value(far)

@@ -223,6 +223,17 @@ def test_cli_eps_not_below_delta_adv_exits_2(capsys) -> None:
     assert "below delta_adv" in capsys.readouterr().err
 
 
+def test_cli_bad_constant_overrides_exit_2(capsys) -> None:
+    # a zero C0 made the first epoch empty; a negative C1 a complex radius
+    for token in (
+        "--overrides.C0=0", "--overrides.C9=1", "--overrides.C0=.nan",
+        "--overrides.C1=-1", "--overrides=2",
+    ):
+        rc = cli_main(["run", "--seed", "1", "-N", "1", "--T=2000", token])
+        assert rc == 2, token
+        assert capsys.readouterr().err.startswith("error:"), token
+
+
 def test_cli_bisection_runs_first_halving_when_width_rounds_below_eps(tmp_path) -> None:
     # 0.4 - 0.30000000000000004 < eps < delta_adv: ceil(log2(delta_adv/eps)) = 1
     out = tmp_path / "trials.csv"

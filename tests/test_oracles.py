@@ -7,7 +7,6 @@ from secopt import (
     ParameterError,
     RngStream,
     make_abs,
-    make_uniformly_convex,
     noisy_sign_oracle,
     sign_oracle,
 )
@@ -36,9 +35,6 @@ def test_sign_oracle_cases() -> None:
     assert sign_oracle(f, 0.3) == -1
     assert sign_oracle(f, 0.8) == 1
     assert sign_oracle(f, 0.5) == 1  # tie convention
-    f2 = make_uniformly_convex(2.0, 1.0, np.array([0.5, 0.5]))
-    with pytest.raises(ParameterError):
-        sign_oracle(f2, np.array([0.3, 0.3]))
 
 
 def test_noisy_sign_parameter_range() -> None:

@@ -1,10 +1,11 @@
 """Replicated query protocol: schedule symmetry, determinism, bisection counts, text I/O."""
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secopt import (
@@ -33,7 +34,7 @@ def test_subinterval_index_examples() -> None:
     assert subinterval_index(0.37, 0.1) == 4
     assert subinterval_index(0.0, 0.1) == 1
     assert subinterval_index(1.0, 0.1) == 10  # right-edge absorption
-    assert subinterval_index(0.95, 0.15) == 6  # remainder absorbed by the last
+    assert subinterval_index(0.95, 0.15) == 6  # six subintervals of width 1/6
     with pytest.raises(DomainError):
         subinterval_index(-0.1, 0.1)
     with pytest.raises(DomainError):
@@ -58,6 +59,11 @@ def test_config_validation() -> None:
     for mode in ("Bisection", "ConvexEpochGD"):
         with pytest.raises(ParameterError, match="below delta_adv"):
             ProtocolConfig(mode=mode, eps=0.15).validate()  # eps >= delta_adv
+    with pytest.raises(ParameterError, match="subinterval width"):
+        # S = 9 and 1/S rounds below delta_adv: eps < delta_adv leaves no halving
+        ProtocolConfig(
+            mode="Bisection", delta_adv=0.11111111111111112, eps_adv=0.02, eps=1 / 9
+        ).validate()
 
 
 def test_config_hash_and_updates() -> None:
@@ -288,20 +294,66 @@ def test_bisection_interval_width_halves() -> None:
     # only K=4 phases fit the budget: width 0.1 / 2^4, estimate inside it
     assert len(tr) == 40
     assert abs(tr.x_hat - 0.73) <= 0.1 / 2**4
-    assert not tr.remainder_risk
 
 
-def test_bisection_remainder_risk_flag() -> None:
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    mode=st.sampled_from(["ConvexEpochGD", "Bisection", "NoisyBisection"]),
+    delta_adv=st.one_of(st.sampled_from([0.1, 0.3, 0.15, 0.07]), st.floats(0.02, 0.49)),
+    t=st.integers(1, 3000),
+    x_star=st.one_of(st.sampled_from([0.0, 0.95, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirrored_copies_tile_the_unit_interval(mode, delta_adv, t, x_star, seed) -> None:
+    # with S cells of width 1/S no proposal falls in an unmirrored remainder
+    # of [0, 1], which would shift every copy one cell up and expose it
     config = ProtocolConfig(
-        T=600, mode="Bisection", delta_adv=0.15, eps_adv=0.05, eps=1e-3,
-        sigma=0.0, x_star=0.95,
+        T=t, mode=mode, delta_adv=delta_adv, eps_adv=delta_adv / 4, eps=delta_adv / 8,
+        x_star=x_star, overrides={"C0": 2.0},
     )
-    tr = run_secure_bisection(config, make_abs(0.95), RngStream(4, (1,)))
-    assert tr.remainder_risk  # x* = 0.95 > S * delta_adv = 0.9
-    tr2 = run_secure_bisection(
-        config.with_updates(x_star=0.5), make_abs(0.5), RngStream(4, (2,))
+    s = config.subintervals
+    config = config.with_updates(T=t + s)
+    width = 1.0 / s
+    f = make_uniformly_convex(2.0, 1.0, x_star) if mode == "ConvexEpochGD" else make_abs(x_star)
+    tr = run_protocol(config, f, RngStream(seed, ()))
+    k = len(tr) // s
+    assert len(tr) == k * s and k >= 1
+    rows = np.sort(tr.points.reshape(k, s), axis=1)
+    assert np.max(np.abs(np.diff(rows, axis=1) - width)) <= 1e-12
+    assert np.all(rows[:, 0] < width + 1e-12)
+    assert np.all(tr.informative.reshape(k, s).sum(axis=1) == 1)
+    inf_pts = tr.points[tr.informative]
+    assert np.all(tr.sub[tr.informative] == [subinterval_index(x, delta_adv) for x in inf_pts])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    delta_adv=st.floats(0.02, 0.49),
+    eps_fraction=st.floats(1e-4, 1.0, exclude_max=True),
+    x_star=st.floats(0.0, 1.0),
+    extra_budget=st.integers(0, 200),
+)
+# a rounded hi - lo once cost these an extra halving: 40 queries, not 20 or 30
+@example(delta_adv=0.05, eps_fraction=0.5, x_star=0.075, extra_budget=40)
+@example(delta_adv=0.1, eps_fraction=0.125, x_star=0.35, extra_budget=40)
+@example(delta_adv=0.1, eps_fraction=0.9999999999999999, x_star=0.35, extra_budget=0)
+def test_exact_bisection_count_is_s_times_halvings(
+    delta_adv, eps_fraction, x_star, extra_budget
+) -> None:
+    s = math.floor(1.0 / delta_adv)
+    eps = eps_fraction * min(delta_adv, 1.0 / s)
+    # smallest k with 2^k >= width/eps, in exact rational arithmetic
+    k = (math.ceil(Fraction(1.0 / s) / Fraction(eps)) - 1).bit_length()
+    config = ProtocolConfig(
+        T=s * k + extra_budget, mode="Bisection", delta_adv=delta_adv,
+        eps_adv=delta_adv / 4, eps=eps, x_star=x_star,
     )
-    assert not tr2.remainder_risk
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 2*eps > eps_adv only weakens secrecy
+        config.validate()
+        tr = run_protocol(config, make_abs(x_star), RngStream(0, ()))
+    assert len(tr) == s * k
+    assert abs(tr.x_hat - x_star) <= eps
 
 
 def test_majority_repetitions_sizing() -> None:
