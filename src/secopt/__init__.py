@@ -24,13 +24,9 @@ from .bounds import (
     upper_bound_rates,
 )
 from .epoch_gd import (
-    EpochGdState,
     default_constants,
-    epoch_gd_drive,
-    epoch_gd_estimate,
-    epoch_gd_feed,
-    epoch_gd_init,
-    epoch_gd_propose,
+    epoch_gd_solve,
+    epoch_schedule,
 )
 from .errors import (
     BudgetError,
@@ -38,7 +34,6 @@ from .errors import (
     DomainError,
     PackingError,
     ParameterError,
-    ProtocolOrderError,
 )
 from .functions import (
     Ball,
@@ -93,14 +88,12 @@ __all__ = [
     "CSV_HEADER",
     "ConstructionError",
     "DomainError",
-    "EpochGdState",
     "FunctionInstance",
     "HardPair",
     "MODES",
     "PackingError",
     "ParameterError",
     "ProtocolConfig",
-    "ProtocolOrderError",
     "RateReport",
     "RngStream",
     "SlopeFit",
@@ -111,11 +104,8 @@ __all__ = [
     "c_of_p",
     "default_constants",
     "default_packing_centers",
-    "epoch_gd_drive",
-    "epoch_gd_estimate",
-    "epoch_gd_feed",
-    "epoch_gd_init",
-    "epoch_gd_propose",
+    "epoch_gd_solve",
+    "epoch_schedule",
     "export_csv",
     "instance_for_trial",
     "kl_gaussian_pair",

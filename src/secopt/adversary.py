@@ -18,7 +18,6 @@ _OFFSET_TOL = 1e-9
 @dataclass(frozen=True)
 class AdversaryEstimate:
     point: float
-    strategy: str
     fell_back: bool = False
 
 
@@ -32,9 +31,7 @@ def _check_queries(queries: np.ndarray) -> np.ndarray:
 def proportional_sample(queries: np.ndarray, rng: np.random.Generator) -> AdversaryEstimate:
     """Guess a query point uniformly at random: heavily queried regions win."""
     arr = _check_queries(queries)
-    return AdversaryEstimate(
-        point=float(arr[rng.integers(arr.size)]), strategy="Proportional"
-    )
+    return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]))
 
 
 def packing_ball_sample(
@@ -62,8 +59,8 @@ def packing_ball_sample(
     x = float(arr[rng.integers(arr.size)])
     k = int(np.argmin(np.abs(cen - x)))
     if abs(cen[k] - x) <= radius:
-        return AdversaryEstimate(point=float(cen[k]), strategy="PackingBall")
-    return AdversaryEstimate(point=x, strategy="PackingBall", fell_back=True)
+        return AdversaryEstimate(point=float(cen[k]))
+    return AdversaryEstimate(point=x, fell_back=True)
 
 
 def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
@@ -74,10 +71,7 @@ def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
 
 
 def posterior_interval_adversary(
-    queries: np.ndarray,
-    eps: float,
-    s_count: int,
-    rng: np.random.Generator,
+    queries: np.ndarray, s_count: int, rng: np.random.Generator
 ) -> AdversaryEstimate:
     """Exploit the final replicated phase: its S clusters carry all posterior mass.
 
@@ -90,33 +84,21 @@ def posterior_interval_adversary(
     arr = _check_queries(queries)
     if s_count < 2:
         raise ParameterError(f"s_count must be >= 2, got {s_count}")
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
     if arr.size < s_count:
-        return AdversaryEstimate(
-            point=float(arr[rng.integers(arr.size)]),
-            strategy="PosteriorInterval", fell_back=True,
-        )
+        return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]), fell_back=True)
     last = np.sort(arr[-s_count:])
     gaps = np.diff(last)
     if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
-        return AdversaryEstimate(
-            point=float(last[rng.integers(s_count)]), strategy="PosteriorInterval"
-        )
+        return AdversaryEstimate(point=float(last[rng.integers(s_count)]))
     width = float(np.median(gaps))
     if width > 0.0:
         agree = _circular_agreement(np.mod(last, width), width)
         outliers = np.nonzero(agree == 1)[0]
         if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
-            return AdversaryEstimate(
-                point=float(last[outliers[0]]), strategy="PosteriorInterval"
-            )
-    return AdversaryEstimate(
-        point=float(arr[rng.integers(arr.size)]),
-        strategy="PosteriorInterval", fell_back=True,
-    )
+            return AdversaryEstimate(point=float(last[outliers[0]]))
+    return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]), fell_back=True)
 
 
 def uniform_naive(rng: np.random.Generator) -> AdversaryEstimate:
     """Ignore the transcript entirely; guess uniformly on [0, 1]."""
-    return AdversaryEstimate(point=float(rng.uniform(0.0, 1.0)), strategy="UniformNaive")
+    return AdversaryEstimate(point=float(rng.uniform(0.0, 1.0)))

@@ -142,7 +142,6 @@ class RateReport:
     upper_function: float
     upper_point: float
     exponents: dict[str, float] = field(default_factory=dict)
-    notes: str = "upper rates omit polylogarithmic factors"
 
 
 def make_rate_report(

@@ -10,6 +10,7 @@ nested maps (for instance --overrides.C0=2).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -253,9 +254,7 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
         "packing_ball": lambda rng: packing_ball_sample(
             public, args.eps_adv, default_packing_centers(args.eps_adv), rng
         ),
-        "posterior_interval": lambda rng: posterior_interval_adversary(
-            public, args.eps, s_count, rng
-        ),
+        "posterior_interval": lambda rng: posterior_interval_adversary(public, s_count, rng),
         "uniform_naive": lambda rng: uniform_naive(rng),
     }
     print("strategy,successes,samples,success_rate")
@@ -286,12 +285,15 @@ def cmd_export_transcript(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no abbreviations: a --key=value override such as --p=0.6 must not
+    # prefix-match a subcommand flag (--point-band, --public)
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="secopt",
         description="Confidential stochastic optimization: protocol runs, "
         "budget sweeps, leakage evaluation, and rate bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def add_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="YAML config file")
@@ -331,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--transcript", required=True, help="transcript file path")
     p_adv.add_argument("--x-star", type=float, required=True, dest="x_star")
     p_adv.add_argument("--eps-adv", type=float, default=0.04, dest="eps_adv")
-    p_adv.add_argument("--eps", type=float, default=1e-3)
     p_adv.add_argument("--s-count", type=int, default=None, dest="s_count")
     p_adv.add_argument("--samples", type=int, default=1000)
     p_adv.add_argument("--seed", type=int, required=True)

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-ParameterError (and subclasses) map to CLI exit code 2.
+Every one is a ParameterError, which the CLI maps to exit code 2.
 """
 
 
@@ -9,7 +9,7 @@ class ParameterError(ValueError):
 
 
 class DomainError(ParameterError):
-    """A query point lies outside the admissible domain."""
+    """A point (a query, a start or an optimizer) lies outside its domain."""
 
 
 class ConstructionError(ParameterError):
@@ -22,7 +22,3 @@ class PackingError(ParameterError):
 
 class BudgetError(ParameterError):
     """The query budget is too small for the requested protocol."""
-
-
-class ProtocolOrderError(RuntimeError):
-    """propose/feed were called out of order on a stateful solver."""

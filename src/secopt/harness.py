@@ -109,7 +109,7 @@ def run_trial(config: ProtocolConfig, trial: int, master_seed: int) -> TrialOutc
                 stream.child(_CHILD_ADV["packing_ball"]).generator(),
             ),
             "posterior_interval": posterior_interval_adversary(
-                public, config.eps, config.subintervals,
+                public, config.subintervals,
                 stream.child(_CHILD_ADV["posterior_interval"]).generator(),
             ),
             "uniform_naive": uniform_naive(

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .epoch_gd import check_overrides, epoch_gd_drive, epoch_gd_estimate, epoch_gd_init
+from .epoch_gd import check_overrides, epoch_gd_solve, epoch_schedule
 from .errors import BudgetError, DomainError, ParameterError
 from .functions import FunctionInstance
 from .oracles import RngStream, noisy_sign_oracle, sign_oracle
@@ -107,14 +107,14 @@ class ProtocolConfig:
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "ConvexEpochGD":
-            if not self.kappa >= 2.0:
-                raise ParameterError(f"kappa must be >= 2, got {self.kappa}")
-            if not self.lam > 0.0 or not self.W > 0.0:
-                raise ParameterError(f"lam and W must be positive")
-            if self.sigma < 0.0:
-                raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
-        if self.mode == "NoisyBisection" and not 0.5 < self.p < 1.0:
+        # every field is checked in every mode, so no setting is silently ignored
+        if not self.kappa >= 2.0:
+            raise ParameterError(f"kappa must be >= 2, got {self.kappa}")
+        if not self.lam > 0.0 or not self.W > 0.0:
+            raise ParameterError(f"lam and W must be positive, got lam={self.lam}, W={self.W}")
+        if not self.sigma >= 0.0:
+            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.5 < self.p < 1.0:
             raise ParameterError(f"p must lie in (0.5, 1), got {self.p}")
         check_overrides(self.overrides)
         if self.x_star is not None and not 0.0 <= self.x_star <= 1.0:
@@ -248,13 +248,11 @@ def _solve_convex(
     Returns the proposed points, the gradients fed and the final estimate.
     """
     x_init = float(rng.child(_STREAM_INIT).generator().uniform(0.0, 1.0))
-    state = epoch_gd_init(
-        config.kappa, config.lam, config.delta, config.W,
-        n_steps, x_init, overrides=config.overrides, domain=(0.0, 1.0),
+    schedule = epoch_schedule(
+        config.kappa, config.lam, config.delta, config.W, n_steps, config.overrides
     )
     noise = _gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
-    proposals, fed = epoch_gd_drive(state, f.subgrad, noise)
-    return proposals, fed, epoch_gd_estimate(state)
+    return epoch_gd_solve(schedule, x_init, f.subgrad, noise)
 
 
 def _replicated_transcript(

@@ -18,9 +18,7 @@ from secopt import (
     c_of_p,
     default_constants,
     default_packing_centers,
-    epoch_gd_feed,
-    epoch_gd_init,
-    epoch_gd_propose,
+    epoch_schedule,
     export_csv,
     instance_for_trial,
     kl_gaussian_pair,
@@ -76,17 +74,8 @@ def test_criterion_1_replicated_schedule_structure() -> None:
             == [subinterval_index(float(x), config.delta_adv) for x in inf_pts]
         )
 
-        state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 1000, 0.4, overrides={"C0": 2.0})
-        lens, etas, radii = [state.epoch_len], [state.eta], [state.radius]
-        while not state.done:
-            x = epoch_gd_propose(state)
-            if state.done:
-                break
-            if state.epoch > len(lens):
-                lens.append(state.epoch_len)
-                etas.append(state.eta)
-                radii.append(state.radius)
-            epoch_gd_feed(state, x - 0.5)
+        schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 1000, overrides={"C0": 2.0})
+        lens, etas, radii = zip(*schedule)
         assert len(lens) >= 6
         assert all(b == 2 * a for a, b in zip(lens, lens[1:]))
         for a, b in zip(etas, etas[1:]):
@@ -134,7 +123,7 @@ def test_criterion_3_adversary_success_capped() -> None:
                     ("packing_ball", packing_ball_sample(
                         public, config.eps_adv, centers, gens["packing_ball"])),
                     ("posterior_interval", posterior_interval_adversary(
-                        public, config.eps, s_count, gens["posterior_interval"])),
+                        public, s_count, gens["posterior_interval"])),
                     ("uniform_naive", uniform_naive(gens["uniform_naive"])),
                 )
                 for name, est in ests:
@@ -273,6 +262,5 @@ def test_criterion_8_frozen_reference_values() -> None:
         assert thm == pytest.approx(637.1456462050978, rel=1e-6)
         consts = default_constants(2.0, 1.0, 2.0, 0.01, 10**5)
         assert consts["C0"] == pytest.approx(2142.2544566527604, rel=1e-6)
-        state = epoch_gd_init(2.0, 1.0, 0.01, 2.0, 10**5, 0.5)
-        assert state.epoch_len == 4285
+        assert epoch_schedule(2.0, 1.0, 0.01, 2.0, 10**5)[0][0] == 4285
         note["note"] = " (c(0.75), convex floor, C0, T1)"

@@ -205,7 +205,6 @@ def test_make_rate_report_settings() -> None:
         "upper_point": -0.5,
     }
     assert rc.upper_function == pytest.approx(1e-3, rel=1e-9)
-    assert "polylog" in rc.notes
     with pytest.raises(ParameterError):
         make_rate_report("noisy-binary", **kw)
     with pytest.raises(ParameterError):

@@ -1,6 +1,5 @@
 """Epoch-doubling projected subgradient solver: schedule, stepping, convergence."""
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,14 +9,10 @@ from hypothesis import strategies as st
 from secopt import (
     DomainError,
     ParameterError,
-    ProtocolOrderError,
     RngStream,
     default_constants,
-    epoch_gd_drive,
-    epoch_gd_estimate,
-    epoch_gd_feed,
-    epoch_gd_init,
-    epoch_gd_propose,
+    epoch_gd_solve,
+    epoch_schedule,
     make_uniformly_convex,
 )
 from secopt.protocol import _gradient_noise
@@ -28,40 +23,31 @@ def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:
     and the gradient noise both come from the one stream."""
     gen = stream.generator()
     x_init = float(gen.uniform(*f.domain))
-    state = epoch_gd_init(
-        float(f.kappa), f.lam, delta, w, budget, x_init, overrides=overrides, domain=f.domain
-    )
-    epoch_gd_drive(state, f.subgrad, _gradient_noise(gen, sigma, budget))
-    return epoch_gd_estimate(state)
+    schedule = epoch_schedule(float(f.kappa), f.lam, delta, w, budget, overrides)
+    return epoch_gd_solve(schedule, x_init, f.subgrad, _gradient_noise(gen, sigma, budget))[2]
+
+
+def _zero(x: float) -> float:
+    return 0.0
 
 
 def test_c0_golden() -> None:
     # frozen: 288 * ln(floor(log2(1e5) + 1) / 0.01) with inner log base 2
     c = default_constants(2.0, 1.0, 2.0, 0.01, 10**5)
     assert c["C0"] == pytest.approx(2142.2544566527604, rel=1e-6)
-    state = epoch_gd_init(2.0, 1.0, 0.01, 2.0, 10**5, 0.5)
-    assert state.epoch_len == 4285  # ceil(2 * C0)
+    assert epoch_schedule(2.0, 1.0, 0.01, 2.0, 10**5)[0][0] == 4285  # ceil(2 * C0)
 
 
 def test_canonical_constants_kappa_two() -> None:
     c = default_constants(2.0, 1.0, 2.0, 0.05, 10**4)
     assert c["C1"] == 2.0 and c["C2"] == 8.0
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 10**4, 0.5)
-    assert state.eta == 1.0  # eta_1 = C1 * 2^(-1)
-    assert state.radius == pytest.approx(math.sqrt(8.0), rel=1e-15)
+    _, eta, radius = epoch_schedule(2.0, 1.0, 0.05, 2.0, 10**4)[0]
+    assert eta == 1.0  # eta_1 = C1 * 2^(-1)
+    assert radius == pytest.approx(math.sqrt(8.0), rel=1e-15)
 
 
 def test_schedule_ratios_and_six_epochs() -> None:
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 1000, 0.4, overrides={"C0": 2.0})
-    lens, etas = [state.epoch_len], [state.eta]
-    while not state.done and state.epoch < 8:
-        x = epoch_gd_propose(state)
-        if state.done:
-            break
-        if state.epoch > len(lens):
-            lens.append(state.epoch_len)
-            etas.append(state.eta)
-        epoch_gd_feed(state, x - 0.5)
+    lens, etas, _ = zip(*epoch_schedule(2.0, 1.0, 0.05, 2.0, 1000, overrides={"C0": 2.0}))
     assert len(lens) >= 6
     assert all(b == 2 * a for a, b in zip(lens, lens[1:]))  # T_{e+1}/T_e = 2
     for a, b in zip(etas, etas[1:]):
@@ -69,57 +55,67 @@ def test_schedule_ratios_and_six_epochs() -> None:
 
 
 def test_first_proposal_is_x_init_and_idempotent() -> None:
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 10**4, 0.4)
-    assert epoch_gd_propose(state) == 0.4
-    assert epoch_gd_propose(state) == 0.4  # no feed, no advance
-    assert epoch_gd_estimate(state) == 0.4
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 10**4)
+    f = make_uniformly_convex(2.0, 1.0, 0.7)
+    noise = np.random.default_rng(4).normal(0.0, 0.1, 10**4).tolist()
+    first, again = (epoch_gd_solve(schedule, 0.4, f.subgrad, noise) for _ in range(2))
+    assert first[0][0] == 0.4
+    # the schedule is plain data: running it twice gives the same run
+    assert first[0].tobytes() == again[0].tobytes() and first[1:] == again[1:]
 
 
 def test_feed_requires_propose() -> None:
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 10**4, 0.4)
-    with pytest.raises(ProtocolOrderError):
-        epoch_gd_feed(state, 0.1)
+    # every gradient is taken at the point just proposed, and none after the
+    # schedule ends: C0=2 gives epochs of 4, 8, 16 and 32 steps in a budget of 100
+    f = make_uniformly_convex(2.0, 1.0, 0.3)
+    seen = []
+
+    def subgrad(x: float) -> float:
+        seen.append(x)
+        return f.subgrad(x)
+
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})
+    proposals, fed, _ = epoch_gd_solve(schedule, 0.9, subgrad, [0.0] * 100)
+    assert fed == 60 and seen == proposals[:fed].tolist()
 
 
 def test_feed_after_done_rejected() -> None:
-    # budget below the first epoch: done at init, estimate = x_init
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 10, 0.4)
-    assert state.done and epoch_gd_estimate(state) == 0.4
-    assert epoch_gd_propose(state) == 0.4
-    with pytest.raises(ProtocolOrderError):
-        epoch_gd_feed(state, 0.1)
+    # budget below the first epoch: the schedule is empty, no gradient is
+    # taken, and every step proposes x_init, which is the estimate
+    def subgrad(x: float) -> float:
+        raise AssertionError("gradient taken after the schedule ended")
+
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 10)
+    assert schedule == []
+    proposals, fed, x_hat = epoch_gd_solve(schedule, 0.4, subgrad, [0.1] * 10)
+    assert fed == 0 and x_hat == 0.4 and np.all(proposals == 0.4)
 
 
 @pytest.mark.parametrize(
     "iterate,eta,g,expected",
     [
-        (0.9, 0.2, 1.0, 0.7),  # interior step
+        (0.75, 0.2, 1.0, 0.55),  # interior step
         (0.25, 0.2, 1.0, 0.2),  # clamped to anchor - R
         (0.7, 0.1, -2.0, 0.8),  # clamped to anchor + R
     ],
 )
 def test_projected_step_clamping(iterate, eta, g, expected) -> None:
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 10**4, 0.5)
-    state.anchor = 0.5
-    state.radius = 0.3
-    state.eta = eta
-    state.iterate = iterate
-    epoch_gd_propose(state)
-    epoch_gd_feed(state, g)
-    assert state.iterate == pytest.approx(expected, rel=1e-15)
+    # one epoch anchored at 0.5 with R = 0.3; the noise carries the gradients:
+    # the first step moves to `iterate`, the second applies g from there
+    proposals, _, _ = epoch_gd_solve(
+        [(3, eta, 0.3)], 0.5, _zero, [(0.5 - iterate) / eta, g, 0.0]
+    )
+    assert proposals[1] == pytest.approx(iterate, rel=1e-15)
+    assert proposals[2] == pytest.approx(expected, rel=1e-15)
 
 
 def test_epoch_average_includes_anchor_excludes_last() -> None:
-    # T_1 = 4 with C0=2; zero gradients keep the iterate constant, so the
-    # next anchor equals the initial point exactly
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 0.625, overrides={"C0": 2.0})
-    assert state.epoch_len == 4
-    for _ in range(4):
-        epoch_gd_propose(state)
-        epoch_gd_feed(state, 0.0)
-    epoch_gd_propose(state)  # crosses the epoch boundary
-    assert state.epoch == 2
-    assert state.anchor == 0.625
+    # zero gradients keep the iterate constant, so the epoch-2 anchor, its
+    # first proposal, equals the initial point exactly
+    proposals, _, x_hat = epoch_gd_solve(
+        [(4, 1.0, 0.5), (8, 0.5, 0.3)], 0.625, _zero, [0.0] * 12
+    )
+    assert proposals[4] == 0.625 and x_hat == 0.625
 
 
 def test_epoch_average_arithmetic_exact() -> None:
@@ -127,41 +123,36 @@ def test_epoch_average_arithmetic_exact() -> None:
     # epoch-2 anchor is (x_init + 3 x*) / 4: anchor in, last iterate out
     xs, x0 = 0.25, 0.8125
     f = make_uniformly_convex(2.0, 1.0, xs)
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, x0, overrides={"C0": 2.0})
-    assert state.eta == 1.0 and state.epoch_len == 4
-    for _ in range(4):
-        x = epoch_gd_propose(state)
-        epoch_gd_feed(state, float(f.subgrad(x)))
-    epoch_gd_propose(state)
-    assert state.anchor == (x0 + 3.0 * xs) / 4.0
+    epoch_len, eta, _ = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})[0]
+    assert eta == 1.0 and epoch_len == 4
+    _, fed, x_hat = epoch_gd_solve([(4, 1.0, 1.0)], x0, f.subgrad, [0.0] * 4)
+    assert fed == 4 and x_hat == (x0 + 3.0 * xs) / 4.0
 
 
 def test_budget_stops_after_last_full_epoch() -> None:
-    state = epoch_gd_init(2.0, 1.0, 0.05, 2.0, 5, 0.3125, overrides={"C0": 2.0})
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 5, overrides={"C0": 2.0})
     # T_1 = 4 fits in 5; T_2 = 8 would need 12 total, so the solver stops there
-    count = 0
-    while not state.done:
-        epoch_gd_propose(state)
-        if state.done:
-            break
-        epoch_gd_feed(state, 0.0)
-        count += 1
-    assert count == 4 and state.total_fed == 4
-    assert epoch_gd_estimate(state) == 0.3125
+    assert [epoch_len for epoch_len, _, _ in schedule] == [4]
+    proposals, fed, x_hat = epoch_gd_solve(schedule, 0.3125, _zero, [0.0] * 5)
+    assert fed == 4 and x_hat == 0.3125 and proposals[4] == 0.3125
 
 
 def test_init_validation() -> None:
     with pytest.raises(ParameterError):
-        epoch_gd_init(1.5, 1.0, 0.05, 2.0, 100, 0.5)
+        epoch_schedule(1.5, 1.0, 0.05, 2.0, 100)
     with pytest.raises(ParameterError):
-        epoch_gd_init(2.0, 1.0, 1.5, 2.0, 100, 0.5)
+        epoch_schedule(2.0, 1.0, 1.5, 2.0, 100)
     with pytest.raises(DomainError):
-        epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 1.5)
+        epoch_gd_solve([], 1.5, _zero, [0.0])
     with pytest.raises(ParameterError):
-        epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 0.5, overrides={"C9": 1.0})
+        epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C9": 1.0})
     for bad in (0.0, -1.0, float("nan"), float("inf"), "2", True):
         with pytest.raises(ParameterError):
-            epoch_gd_init(2.0, 1.0, 0.05, 2.0, 100, 0.5, overrides={"C0": bad})
+            epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": bad})
+    # noise that ends mid-schedule cannot be run: the schedule here is 60 steps
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})
+    with pytest.raises(ParameterError, match="cannot cover"):
+        epoch_gd_solve(schedule, 0.5, _zero, [0.0] * 59)
 
 
 def test_noiseless_convergence() -> None:
@@ -201,21 +192,46 @@ def test_noiseless_sweep_never_slower_than_noisy() -> None:
         assert np.median(clean) <= np.median(noisy)
 
 
-def _reference_drive(state, subgrad, grad_noise) -> tuple[np.ndarray, int]:
-    """Per-step propose/feed loop that epoch_gd_drive must match bit for bit."""
-    proposals, fed = [], 0
-    for z in grad_noise:
-        x = epoch_gd_propose(state)
-        proposals.append(x)
-        if not state.done:
-            epoch_gd_feed(state, float(subgrad(x)) + z)
-            fed += 1
-    return np.array(proposals, dtype=np.float64), fed
-
-
-def _state_repr(state) -> list[str]:
-    # repr tells -0.0 from 0.0 and keeps every bit of a float
-    return [f"{f.name}={getattr(state, f.name)!r}" for f in fields(state)]
+def _reference_solve(kappa, lam, delta, w, budget, overrides, x_init, subgrad, grad_noise):
+    """Per-step propose/feed solver that epoch_schedule + epoch_gd_solve must
+    match bit for bit.  It works out the schedule one epoch boundary at a time,
+    proposes once per noise entry and feeds while the budget covers the epoch
+    in progress.  An epoch that ends on the last noise entry still sets the
+    final anchor."""
+    constants = default_constants(kappa, lam, w, delta, budget)
+    constants.update(overrides or {})
+    shrink = 2.0 ** (-kappa / (2.0 * kappa - 2.0))
+    epoch_len = math.ceil(2.0 * constants["C0"])
+    eta = constants["C1"] * shrink
+    radius = (constants["C2"] * eta / lam) ** (1.0 / kappa)
+    planned = epoch_len
+    done = planned > budget
+    anchor = iterate = float(x_init)
+    epoch_sum, fed_in_epoch, fed = 0.0, 0, 0
+    proposals = []
+    for z in [*grad_noise, None]:  # None: past the last entry, only a boundary is crossed
+        if not done and fed_in_epoch == epoch_len:
+            anchor = iterate = min(max(epoch_sum / epoch_len, 0.0), 1.0)
+            epoch_len *= 2
+            eta *= shrink
+            radius = (constants["C2"] * eta / lam) ** (1.0 / kappa)
+            epoch_sum, fed_in_epoch = 0.0, 0
+            planned += epoch_len
+            done = planned > budget
+        if z is None:
+            break
+        if done:
+            proposals.append(anchor)
+            continue
+        proposals.append(iterate)
+        epoch_sum += iterate
+        lo = max(0.0, anchor - radius)
+        hi = min(1.0, anchor + radius)
+        iterate = min(max(iterate - eta * (float(subgrad(iterate)) + z), lo), hi)
+        fed_in_epoch += 1
+        fed += 1
+    assert done
+    return np.array(proposals, dtype=np.float64), fed, anchor
 
 
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
@@ -227,36 +243,28 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
     lam=st.floats(min_value=0.25, max_value=4.0),
     c0=st.one_of(st.none(), st.floats(min_value=1.0, max_value=4.0)),
     budget=st.integers(1, 5000),
-    n_noise=st.integers(0, 6000),
+    slack=st.integers(0, 500),
     x_init=st.one_of(st.sampled_from([0.0, 1.0]), _UNIT),
     x_star=st.one_of(st.sampled_from([0.0, 1.0]), _UNIT),
     sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
     seed=st.integers(0, 2**32 - 1),
-    pre_propose=st.booleans(),
 )
 def test_drive_matches_per_step_loop(
-    kappa, lam, c0, budget, n_noise, x_init, x_star, sigma, seed, pre_propose
+    kappa, lam, c0, budget, slack, x_init, x_star, sigma, seed
 ) -> None:
-    # noise length is drawn apart from the budget, so a run can end mid-epoch,
-    # before the budget is spent, or long after the solver is done
-    n_noise = min(n_noise, budget + 500)
+    # the noise covers the schedule plus a slack drawn apart from the budget,
+    # so a run can end exactly on the last epoch or long after it
     overrides = None if c0 is None else {"C0": c0}
     f = make_uniformly_convex(kappa, lam, x_star)
+    schedule = epoch_schedule(kappa, lam, 0.05, 2.0, budget, overrides)
+    n_noise = sum(epoch_len for epoch_len, _, _ in schedule) + slack
     noise = np.random.default_rng(seed).normal(0.0, sigma, n_noise).tolist()
-    states = [
-        epoch_gd_init(kappa, lam, 0.05, 2.0, budget, x_init, overrides=overrides)
-        for _ in range(2)
-    ]
-    if pre_propose:  # a proposal left pending before the drive starts
-        for state in states:
-            epoch_gd_propose(state)
-    got, got_fed = epoch_gd_drive(states[0], f.subgrad, noise)
-    want, want_fed = _reference_drive(states[1], f.subgrad, noise)
+    got, got_fed, got_x_hat = epoch_gd_solve(schedule, x_init, f.subgrad, noise)
+    want, want_fed, want_x_hat = _reference_solve(
+        kappa, lam, 0.05, 2.0, budget, overrides, x_init, f.subgrad, noise
+    )
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert got_fed == want_fed
-    assert _state_repr(states[0]) == _state_repr(states[1])
-    # the public stepping API continues from the driven state as from the reference's
-    tails = [_reference_drive(state, f.subgrad, noise[:50]) for state in states]
-    assert tails[0][0].tobytes() == tails[1][0].tobytes() and tails[0][1] == tails[1][1]
-    assert _state_repr(states[0]) == _state_repr(states[1])
+    # repr tells -0.0 from 0.0 and keeps every bit of a float
+    assert repr(got_x_hat) == repr(want_x_hat)

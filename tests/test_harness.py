@@ -19,6 +19,7 @@ from secopt import (
     sweep_budget,
     trial_seed,
 )
+from secopt.cli import build_parser, load_config
 from secopt.cli import main as cli_main
 
 
@@ -147,9 +148,30 @@ def test_cli_run_check_fails_on_weak_setting(capsys) -> None:
 
 
 def test_cli_invalid_parameters_exit_2(capsys) -> None:
-    rc = cli_main(["run", "--seed", "1", "--delta_adv=0.6"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # the bisection modes do not read kappa or sigma, but must not accept bad ones
+    for argv in (
+        ["run", "--seed", "1", "--delta_adv=0.6"],
+        ["run", "--seed", "1", "-N", "2", "--T=2000", "--mode=Bisection", "--sigma=5", "--kappa=1"],
+    ):
+        rc = cli_main(argv)
+        assert rc == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_cli_overrides_never_prefix_match_subcommand_flags() -> None:
+    # --p once matched --point-band in sweep and --public in export-transcript
+    parser = build_parser()
+    args, extras = parser.parse_known_args(
+        ["sweep", "--seed", "1", "--budgets", "1000", "--p=0.6"]
+    )
+    assert args.point_band == "-0.7,-0.3"
+    assert load_config(None, extras).p == 0.6
+    args, extras = parser.parse_known_args(
+        ["export-transcript", "--seed", "1", "--mode=NoisyBisection", "--p=0.6"]
+    )
+    assert not args.public
+    config = load_config(None, extras)
+    assert config.mode == "NoisyBisection" and config.p == 0.6
 
 
 def test_cli_scientific_notation_values(tmp_path) -> None:
@@ -335,3 +357,9 @@ def test_cli_export_then_adversary_eval(tmp_path, capsys) -> None:
     assert out[0] == "strategy,successes,samples,success_rate"
     assert len(out) == 5
     assert all(int(ln.split(",")[2]) == 200 for ln in out[1:])
+    # --eps was accepted and never used; it must not prefix-match --eps-adv either
+    rc = cli_main([
+        "adversary-eval", "--transcript", str(path), "--x-star", "0.5",
+        "--seed", "9", "--eps", "0.01",
+    ])
+    assert rc == 2

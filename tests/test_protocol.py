@@ -9,16 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secopt import (
+    MODES,
     BudgetError,
     DomainError,
     ParameterError,
     ProtocolConfig,
     RngStream,
     Transcript,
-    epoch_gd_estimate,
-    epoch_gd_feed,
-    epoch_gd_init,
-    epoch_gd_propose,
+    epoch_gd_solve,
+    epoch_schedule,
     majority_repetitions,
     make_abs,
     make_uniformly_convex,
@@ -54,8 +53,13 @@ def test_config_validation() -> None:
         ProtocolConfig(mode="NoisyBisection", p=0.4).validate()
     with pytest.warns(UserWarning):
         ProtocolConfig(eps=0.03).validate()  # 2*eps > eps_adv
-    with pytest.raises(ParameterError):
-        ProtocolConfig(sigma=-0.1).validate()
+    for mode in MODES:  # every field is checked, whether the mode reads it or not
+        for bad in (
+            {"kappa": 1.0}, {"lam": 0.0}, {"W": -1.0}, {"sigma": -0.1}, {"p": 0.4},
+            {"sigma": math.nan},
+        ):
+            with pytest.raises(ParameterError):
+                ProtocolConfig(mode=mode, **bad).validate()
     for mode in ("Bisection", "ConvexEpochGD"):
         with pytest.raises(ParameterError, match="below delta_adv"):
             ProtocolConfig(mode=mode, eps=0.15).validate()  # eps >= delta_adv
@@ -103,6 +107,7 @@ def test_phase_structure_and_mirror_symmetry() -> None:
 
 
 def test_transcript_matches_per_call_reference() -> None:
+    # K = 60 phases fill the C0=2 schedule (4 + 8 + 16 + 32) exactly
     config = ProtocolConfig(T=600, overrides={"C0": 2.0})
     f = make_uniformly_convex(2.0, 1.0, 0.42)
     tr = run_secure_convex(config, f, RngStream(5, (9,)))
@@ -113,22 +118,35 @@ def test_transcript_matches_per_call_reference() -> None:
     perm_gen = rng.child(1).generator()
     noise_gen = rng.child(2).generator()
     x_init = float(init_gen.uniform(0.0, 1.0))
-    state = epoch_gd_init(
-        config.kappa, config.lam, config.delta, config.W, n, x_init,
-        overrides=config.overrides, domain=(0.0, 1.0),
-    )
+    # one oracle response per phase, drawn as its own (value, gradient) pair
+    noise = [float(noise_gen.normal(0.0, config.sigma, size=2)[1]) for _ in range(n)]
+    schedule = epoch_schedule(config.kappa, config.lam, config.delta, config.W, n, config.overrides)
+    assert sum(epoch_len for epoch_len, _, _ in schedule) == n
+    xbars, fed, x_hat = epoch_gd_solve(schedule, x_init, f.subgrad, noise)
     pts = []
-    for _ in range(n):
+    for xb in xbars:
         order = np.argsort(perm_gen.random(s_count))
-        z = noise_gen.normal(0.0, config.sigma, size=2)
-        xb = epoch_gd_propose(state)
-        j = subinterval_index(xb, config.delta_adv)
+        j = subinterval_index(float(xb), config.delta_adv)
         off = xb - (j - 1) * config.delta_adv
         pts.extend(order * config.delta_adv + off)
-        if not state.done:
-            epoch_gd_feed(state, float(f.subgrad(xb)) + z[1])
     assert np.array_equal(tr.points, np.array(pts))
-    assert tr.x_hat == epoch_gd_estimate(state)
+    assert tr.effective_gradients == fed == n
+    assert tr.x_hat == x_hat
+
+
+def test_exact_fit_budget_estimates_from_last_epoch() -> None:
+    # C0=2 gives epochs of 4, 8, 16 and 32 steps, which fill T=60 exactly.  The
+    # estimate must be the epoch-4 average, as at T=61, not the epoch-4 start
+    # anchor that T=59 (three epochs) also returns.
+    f = make_uniformly_convex(2.0, 1.0, 0.3)
+    x_hat = {
+        t: run_plain_convex(
+            ProtocolConfig(T=t, sigma=0.0, overrides={"C0": 2.0}), f, RngStream(3, (1,))
+        ).x_hat
+        for t in (59, 60, 61)
+    }
+    assert x_hat[60] == x_hat[61]
+    assert x_hat[60] != x_hat[59]
 
 
 def test_run_is_deterministic_per_stream() -> None:
