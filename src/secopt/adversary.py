@@ -3,10 +3,15 @@
 Each strategy consumes only the ordered query points (the public view of a
 transcript) plus its own randomness, and returns a point estimate of the
 optimizer.  Success downstream means landing within eps_adv of the truth.
+
+The query stream is a 1-d numpy array or a transcript's PublicView.  A
+strategy reads it only through len(), single queries and the last-phase slice
+queries[-S:], so a PublicView never has its K*S points built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -21,21 +26,21 @@ class AdversaryEstimate:
     fell_back: bool = False
 
 
-def _check_queries(queries: np.ndarray) -> np.ndarray:
-    arr = np.asarray(queries, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+def _check_queries(queries: Any) -> int:
+    """Number of queries in a non-empty 1-d stream."""
+    if getattr(queries, "ndim", 1) != 1 or len(queries) == 0:
         raise ParameterError("adversary needs a non-empty 1-d query stream")
-    return arr
+    return len(queries)
 
 
-def proportional_sample(queries: np.ndarray, rng: np.random.Generator) -> AdversaryEstimate:
+def proportional_sample(queries: Any, rng: np.random.Generator) -> AdversaryEstimate:
     """Guess a query point uniformly at random: heavily queried regions win."""
-    arr = _check_queries(queries)
-    return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]))
+    n = _check_queries(queries)
+    return AdversaryEstimate(point=float(queries[rng.integers(n)]))
 
 
 def packing_ball_sample(
-    queries: np.ndarray,
+    queries: Any,
     radius: float,
     centers: np.ndarray,
     rng: np.random.Generator,
@@ -46,7 +51,7 @@ def packing_ball_sample(
     probability (#queries within radius of it)/T, and the residual mass falls
     back to proportional sampling among the out-of-ball queries.
     """
-    arr = _check_queries(queries)
+    n = _check_queries(queries)
     if not radius > 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
     cen = np.sort(np.asarray(centers, dtype=float))
@@ -56,7 +61,7 @@ def packing_ball_sample(
         raise PackingError(
             f"centers are not a 2r-packing: min gap {np.min(np.diff(cen)):.6g} < {2 * radius:.6g}"
         )
-    x = float(arr[rng.integers(arr.size)])
+    x = float(queries[rng.integers(n)])
     k = int(np.argmin(np.abs(cen - x)))
     if abs(cen[k] - x) <= radius:
         return AdversaryEstimate(point=float(cen[k]))
@@ -71,7 +76,7 @@ def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
 
 
 def posterior_interval_adversary(
-    queries: np.ndarray, s_count: int, rng: np.random.Generator
+    queries: Any, s_count: int, rng: np.random.Generator
 ) -> AdversaryEstimate:
     """Exploit the final replicated phase: its S clusters carry all posterior mass.
 
@@ -81,12 +86,12 @@ def posterior_interval_adversary(
     disagrees with the common offset betrays the learner and is returned
     outright; any other asymmetry falls back to proportional sampling.
     """
-    arr = _check_queries(queries)
+    n = _check_queries(queries)
     if s_count < 2:
         raise ParameterError(f"s_count must be >= 2, got {s_count}")
-    if arr.size < s_count:
-        return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]), fell_back=True)
-    last = np.sort(arr[-s_count:])
+    if n < s_count:
+        return AdversaryEstimate(point=float(queries[rng.integers(n)]), fell_back=True)
+    last = np.sort(queries[-s_count:])
     gaps = np.diff(last)
     if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
         return AdversaryEstimate(point=float(last[rng.integers(s_count)]))
@@ -96,7 +101,7 @@ def posterior_interval_adversary(
         outliers = np.nonzero(agree == 1)[0]
         if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
             return AdversaryEstimate(point=float(last[outliers[0]]))
-    return AdversaryEstimate(point=float(arr[rng.integers(arr.size)]), fell_back=True)
+    return AdversaryEstimate(point=float(queries[rng.integers(n)]), fell_back=True)
 
 
 def uniform_naive(rng: np.random.Generator) -> AdversaryEstimate:

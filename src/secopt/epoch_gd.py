@@ -88,6 +88,10 @@ def epoch_schedule(
     if overrides:
         constants.update({k: float(v) for k, v in overrides.items()})
 
+    # ceil(2*C0) <= t_budget exactly when 2*C0 <= t_budget; testing first keeps
+    # math.ceil off the infinite 2*C0 of a C0 near the float maximum
+    if 2.0 * constants["C0"] > t_budget:
+        return []
     shrink = 2.0 ** (-kappa / (2.0 * kappa - 2.0))
     epoch_len = math.ceil(2.0 * constants["C0"])
     eta = constants["C1"] * shrink

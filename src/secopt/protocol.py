@@ -135,28 +135,77 @@ class ProtocolConfig:
         return replace(self, **kwargs)
 
 
-@dataclass
+def _query_field(name: str) -> property:
+    return property(lambda self: self._query_arrays()[name])
+
+
 class Transcript:
     """Time-ordered query record plus the learner's private summary fields.
+
+    A replicated run stores what defines its K*S queries: the K per-phase
+    offsets, the home cell of each phase (or one for the whole run), S, the
+    cell width and the order stream.  The query arrays points (float64), phase
+    and sub (int64) and informative (bool) are built from these on first
+    access, by the one (K, S) order draw, and cached.  A parsed or plain
+    transcript is given the four arrays instead.
 
     The adversary-facing projection is public_view(): query points only.
     """
 
-    points: np.ndarray
-    phase: np.ndarray
-    sub: np.ndarray
-    informative: np.ndarray
-    x_hat: float
-    effective_gradients: int
-    config_hash: str
-    mode: str
-    s_count: int
+    points = _query_field("points")
+    phase = _query_field("phase")
+    sub = _query_field("sub")
+    informative = _query_field("informative")
+
+    def __init__(
+        self, *, x_hat: float, effective_gradients: int, config_hash: str, mode: str,
+        s_count: int, points: np.ndarray | None = None, phase: np.ndarray | None = None,
+        sub: np.ndarray | None = None, informative: np.ndarray | None = None,
+        offsets: np.ndarray | None = None, homes: np.ndarray | None = None,
+        cell_width: float = 0.0, order_stream: RngStream | None = None,
+    ) -> None:
+        self.x_hat = x_hat
+        self.effective_gradients = effective_gradients
+        self.config_hash = config_hash
+        self.mode = mode
+        self.s_count = s_count
+        self.offsets, self.homes = offsets, homes
+        self.cell_width, self.order_stream = cell_width, order_stream
+        self._arrays = None if offsets is not None else {
+            "points": points, "phase": phase, "sub": sub, "informative": informative,
+        }
+
+    def _query_arrays(self) -> dict[str, np.ndarray]:
+        if self._arrays is None:
+            n_phases = self.offsets.size
+            orders = _draw_sub_orders(self.order_stream.generator(), n_phases, self.s_count)
+            # homes is one cell per phase, or a 0-d array for the whole run
+            informative = orders == (self.homes - 1)[..., None]
+            # in place, so no K*S temporaries are made beyond the random block
+            points = orders * self.cell_width
+            points += self.offsets[:, None]
+            orders += 1
+            self._arrays = {
+                "points": points.ravel(),
+                "phase": np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), self.s_count),
+                "sub": orders.astype(np.int64, copy=False).ravel(),
+                "informative": informative.ravel(),
+            }
+        return self._arrays
 
     def __len__(self) -> int:
+        if self._arrays is None:
+            return self.offsets.size * self.s_count
         return int(self.points.size)
 
-    def public_view(self) -> np.ndarray:
-        return self.points.copy()
+    def public_view(self) -> PublicView | np.ndarray:
+        """Read-only query points: a PublicView while the arrays are unbuilt,
+        else a read-only view of points (no copy)."""
+        if self._arrays is None:
+            return PublicView(self.offsets, self.s_count, self.cell_width, self.order_stream)
+        view = self.points.view()
+        view.flags.writeable = False
+        return view
 
     def to_text(self, public: bool = False) -> str:
         head = f"# secopt-transcript config={self.config_hash} mode={self.mode} public={int(public)}"
@@ -224,6 +273,49 @@ def _draw_sub_orders(gen: np.random.Generator, n_phases: int, s_count: int) -> n
     return np.argsort(gen.random((n_phases, s_count)), axis=1)
 
 
+class PublicView:
+    """Read-only query points of a replicated transcript, in time order.
+
+    Supports len(), view[i] and slices such as view[-S:].  Query i is read
+    from order row k = i // S, rebuilt alone: the block draw fills row k from
+    the S uniforms after the first k*S, so advancing a fresh copy of the order
+    stream by k*S and drawing S gives the same row.  Nothing of size K*S is
+    built; converting the view to an array raises.
+    """
+
+    def __init__(
+        self, offsets: np.ndarray, s_count: int, cell_width: float, order_stream: RngStream
+    ) -> None:
+        self._offsets, self._s_count, self._width = offsets, s_count, cell_width
+        self._gen = order_stream.generator()
+        self._start = self._gen.bit_generator.state
+
+    def __len__(self) -> int:
+        return self._offsets.size * self._s_count
+
+    def _row(self, k: int) -> np.ndarray:
+        bits = self._gen.bit_generator
+        bits.state = self._start
+        bits.advance(k * self._s_count)
+        order = np.argsort(self._gen.random(self._s_count))
+        return order * self._width + self._offsets[k]
+
+    def __getitem__(self, index: int | slice) -> Any:
+        s = self._s_count
+        if isinstance(index, slice):
+            span = range(len(self))[index]
+            if not span:
+                return np.empty(0)
+            first = min(span[0], span[-1]) // s
+            rows = [self._row(k) for k in range(first, max(span[0], span[-1]) // s + 1)]
+            return np.concatenate(rows)[np.asarray(span) - first * s]
+        k, j = divmod(range(len(self))[index], s)
+        return self._row(k)[j]
+
+    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        raise TypeError("a PublicView is read query by query; Transcript.points is the array")
+
+
 def _gradient_noise(gen: np.random.Generator, sigma: float, n: int) -> list[float]:
     """Gradient noise of n Gaussian first-order oracle responses, N(0, sigma^2).
 
@@ -256,18 +348,16 @@ def _solve_convex(
 
 
 def _replicated_transcript(
-    config: ProtocolConfig, orders: np.ndarray, offsets: np.ndarray, homes: np.ndarray,
+    config: ProtocolConfig, rng: RngStream, offsets: np.ndarray, homes: np.ndarray,
     **summary: Any,
 ) -> Transcript:
-    """Phase k queries offsets[k] in every subinterval, in the order orders[k];
-    only the query in subinterval homes[k] is informative."""
-    s_count = config.subintervals
+    """Phase k queries offsets[k] in every subinterval, in the order of row k
+    of the order stream's block draw; only the query in subinterval homes[k]
+    (or homes, if 0-d) is informative."""
     return Transcript(
-        points=(orders * config.cell_width + offsets[:, None]).ravel(),
-        phase=np.repeat(np.arange(1, len(offsets) + 1, dtype=np.int64), s_count),
-        sub=(orders + 1).astype(np.int64).ravel(),
-        informative=(orders == (homes - 1)[:, None]).ravel(),
-        config_hash=config.config_hash(), mode=config.mode, s_count=s_count,
+        offsets=offsets, homes=homes, cell_width=config.cell_width,
+        order_stream=rng.child(_STREAM_PERM),
+        config_hash=config.config_hash(), mode=config.mode, s_count=config.subintervals,
         **summary,
     )
 
@@ -283,13 +373,10 @@ def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStrea
     config.validate()
     if config.mode != "ConvexEpochGD":
         raise ParameterError(f"run_secure_convex requires ConvexEpochGD mode, got {config.mode}")
-    s_count = config.subintervals
-    n_phases = config.phases
-    xbars, fed, x_hat = _solve_convex(config, f, rng, n_phases)
-    homes = _home_index(xbars, s_count)
-    orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
+    xbars, fed, x_hat = _solve_convex(config, f, rng, config.phases)
+    homes = _home_index(xbars, config.subintervals)
     return _replicated_transcript(
-        config, orders, xbars - (homes - 1) * config.cell_width, homes,
+        config, rng, xbars - (homes - 1) * config.cell_width, homes,
         x_hat=x_hat, effective_gradients=fed,
     )
 
@@ -321,7 +408,6 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     config.validate()
     if config.mode not in ("Bisection", "NoisyBisection"):
         raise ParameterError(f"run_secure_bisection requires a bisection mode, got {config.mode}")
-    s_count = config.subintervals
     n_phases_max = config.phases
     width = config.cell_width
     noisy = config.mode == "NoisyBisection"
@@ -355,13 +441,11 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
         else:
             lo = mid
 
-    n_phases = len(offsets)
-    # nothing else reads the order stream, so one block after the loop gives the
-    # same rows as drawing each phase's order as it runs
-    orders = _draw_sub_orders(rng.child(_STREAM_PERM).generator(), n_phases, s_count)
+    # nothing else reads the order stream, so one block drawn after the loop
+    # gives the same rows as drawing each phase's order as it runs
     return _replicated_transcript(
-        config, orders, np.asarray(offsets), np.full(n_phases, home, dtype=np.int64),
-        x_hat=0.5 * (lo + hi), effective_gradients=n_phases,
+        config, rng, np.asarray(offsets), np.asarray(home, dtype=np.int64),
+        x_hat=0.5 * (lo + hi), effective_gradients=len(offsets),
     )
 
 

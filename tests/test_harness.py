@@ -256,6 +256,35 @@ def test_cli_bad_constant_overrides_exit_2(capsys) -> None:
         assert capsys.readouterr().err.startswith("error:"), token
 
 
+def test_cli_huge_c0_runs_like_an_oversized_first_epoch(tmp_path) -> None:
+    # 2*C0 overflowed to inf in math.ceil; both first epochs exceed the budget
+    csv = {}
+    for c0 in ("1e308", "1e6"):
+        out = tmp_path / f"c0_{c0}.csv"
+        argv = ["run", "--seed", "1", "-N", "1", "--T=2000", f"--overrides.C0={c0}"]
+        assert cli_main([*argv, "--out", str(out)]) == 0, c0
+        csv[c0] = out.read_bytes()
+    assert csv["1e308"] == csv["1e6"]
+
+
+def test_harness_trials_never_draw_the_order_block(monkeypatch) -> None:
+    from secopt import protocol
+
+    configs = [
+        ProtocolConfig(T=4000, overrides={"C0": 2.0}),
+        ProtocolConfig(T=4000, mode="Bisection", eps=1e-3),
+        ProtocolConfig(T=4000, mode="NoisyBisection", eps=1e-3),
+    ]
+    expected = [export_csv(run_batch(config, 4, master_seed=17)) for config in configs]
+
+    def no_block_draw(*args):
+        raise AssertionError("a harness trial drew the K x S order block")
+
+    monkeypatch.setattr(protocol, "_draw_sub_orders", no_block_draw)
+    for config, csv in zip(configs, expected):
+        assert export_csv(run_batch(config, 4, master_seed=17)) == csv, config.mode
+
+
 def test_cli_bisection_runs_first_halving_when_width_rounds_below_eps(tmp_path) -> None:
     # 0.4 - 0.30000000000000004 < eps < delta_adv: ceil(log2(delta_adv/eps)) = 1
     out = tmp_path / "trials.csv"

@@ -281,14 +281,92 @@ def test_from_text_rejects_bad_index_flags_and_header() -> None:
     assert ok.informative.tolist() == [False, True] and ok.effective_gradients == 1
 
 
-def test_public_view_is_a_pure_copy() -> None:
+def test_public_view_is_read_only() -> None:
     tr = _convex_run(t=800)
-    pub = tr.public_view()
-    pub[0] = -99.0
-    assert tr.points[0] != -99.0
+    pub = tr.public_view()  # rebuilt row by row: no item assignment, no array
+    with pytest.raises(TypeError):
+        pub[0] = -99.0
+    with pytest.raises(TypeError):
+        np.asarray(pub)
+    parsed = Transcript.from_text(tr.to_text())
+    plain = run_plain_convex(ProtocolConfig(T=200), make_uniformly_convex(2.0, 1.0, 0.3),
+                             RngStream(2, ()))
+    for source in (tr, parsed, plain):  # arrays built, parsed or given: a view, not a copy
+        pub = source.public_view()
+        assert np.shares_memory(pub, source.points)
+        with pytest.raises(ValueError):
+            pub[0] = -99.0
+        assert source.points[0] != -99.0
     text = tr.to_text(public=True)
     assert "informative" not in text
     assert all(line.count(",") == 3 for line in text.splitlines()[1:])
+
+
+def _eager_replicated_transcript(config, orders, offsets, homes):
+    """The query arrays as a replicated run built them before the transcript
+    stored only what defines them: from the full (K, S) order matrix."""
+    s_count = config.subintervals
+    return {
+        "points": (orders * config.cell_width + offsets[:, None]).ravel(),
+        "phase": np.repeat(np.arange(1, len(offsets) + 1, dtype=np.int64), s_count),
+        "sub": (orders + 1).astype(np.int64).ravel(),
+        "informative": (orders == (homes - 1)[:, None]).ravel(),
+    }
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    mode=st.sampled_from(MODES),
+    t=st.integers(0, 2000),
+    delta_adv=st.one_of(st.sampled_from([0.1, 0.3, 0.07]), st.floats(0.02, 0.49)),
+    seed=st.integers(0, 2**32 - 1),
+    x_star=st.floats(0.0, 1.0),
+)
+def test_factored_transcript_matches_eager_reference(mode, t, delta_adv, seed, x_star) -> None:
+    config = ProtocolConfig(
+        mode=mode, delta_adv=delta_adv, eps_adv=delta_adv / 4, eps=delta_adv / 8,
+        x_star=x_star, overrides={"C0": 2.0},
+    )
+    s = config.subintervals
+    config = config.with_updates(T=t + s)
+    f = make_uniformly_convex(2.0, 1.0, x_star) if mode == "ConvexEpochGD" else make_abs(x_star)
+    tr = run_protocol(config, f, RngStream(seed, ()))
+    k = tr.offsets.size
+    assert len(tr) == k * s
+    pub = tr.public_view()  # taken before the arrays are built
+    orders = np.argsort(RngStream(seed, (1,)).generator().random((k, s)), axis=1)
+    homes = np.broadcast_to(tr.homes, (k,))
+    expected = _eager_replicated_transcript(config, orders, tr.offsets, homes)
+    for name, want in expected.items():
+        got = getattr(tr, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert len(pub) == len(tr)
+    one_by_one = np.array([pub[i] for i in range(len(pub))])
+    assert one_by_one.tobytes() == tr.points.tobytes()
+    assert pub[-s:].tobytes() == tr.points[-s:].tobytes()
+    assert pub[-1] == tr.points[-1] and pub[np.int64(k * s - s)] == tr.points[k * s - s]
+    with pytest.raises(IndexError):
+        pub[k * s]
+
+
+def test_to_text_builds_from_the_block_order_draw(monkeypatch) -> None:
+    from secopt import protocol
+
+    draws = []
+    block_draw = protocol._draw_sub_orders
+
+    def counting_draw(gen, n_phases, s_count):
+        draws.append((n_phases, s_count))
+        return block_draw(gen, n_phases, s_count)
+
+    monkeypatch.setattr(protocol, "_draw_sub_orders", counting_draw)
+    config = ProtocolConfig(T=800, overrides={"C0": 2.0})
+    tr = _convex_run(t=800)
+    assert draws == []
+    text = tr.to_text()
+    assert draws == [(config.phases, config.subintervals)]
+    assert tr.to_text() == text and len(tr.points) == len(tr)
+    assert len(draws) == 1  # built once, then cached
 
 
 def test_bisection_exact_query_counts() -> None:
