@@ -78,6 +78,26 @@ def test_exported_transcript_rows_digest(tmp_path) -> None:
         assert _sha(_data_rows(out.read_bytes())) == digest, flags
 
 
+def test_exported_transcript_stdout_rows_digest(capsys) -> None:
+    assert cli_main(["export-transcript", "--seed", "3", "--T=200000"]) == 0
+    assert _sha(_data_rows(capsys.readouterr().out.encode())) == (
+        "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12"
+    )
+
+
+def test_adversary_eval_stdout_digest(tmp_path, capsys) -> None:
+    out = tmp_path / "t.txt"
+    assert cli_main(["export-transcript", "--seed", "3", "--T=200000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # x-star is the optimizer export-transcript sampled for this seed and trial
+    argv = ["adversary-eval", "--transcript", str(out), "--x-star", "0.3985985774593667",
+            "--seed", "5", "--samples", "2000"]
+    assert cli_main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode()) == (
+        "06023beacfed09a57f5a10f625a46541ec11dc3f3157725ed54ca1065c1aab71"
+    )
+
+
 def test_plain_control_transcript_digest() -> None:
     config = ProtocolConfig(T=30000, overrides={"C0": 2.0})
     tr = run_plain_convex(config, make_uniformly_convex(2.0, 1.0, 0.3), RngStream(4, (1,)))
