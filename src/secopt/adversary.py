@@ -7,6 +7,11 @@ optimizer.  Success downstream means landing within eps_adv of the truth.
 The query stream is a 1-d numpy array or a transcript's PublicView.  A
 strategy reads it only through len(), single queries and the last-phase slice
 queries[-S:], so a PublicView never has its K*S points built.
+
+Every strategy takes size: None (the default) gives one guess, a float; an
+integer k gives k guesses as one array, equal to k calls with size=None from
+the same generator state, because the generator draws the same numbers one
+at a time or as a block.  Guessing k points at once needs an array stream.
 """
 from __future__ import annotations
 
@@ -22,7 +27,10 @@ _OFFSET_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AdversaryEstimate:
-    point: float
+    """One guess (a float), or an array of guesses with fell_back True when
+    any of them fell back."""
+
+    point: float | np.ndarray
     fell_back: bool = False
 
 
@@ -33,10 +41,19 @@ def _check_queries(queries: Any) -> int:
     return len(queries)
 
 
-def proportional_sample(queries: Any, rng: np.random.Generator) -> AdversaryEstimate:
+def _pick(queries: Any, index: Any) -> float | np.ndarray:
+    """queries[index] as a float, or as an array for an array of indices."""
+    if isinstance(index, np.ndarray):
+        return np.asarray(queries, dtype=float)[index]
+    return float(queries[index])
+
+
+def proportional_sample(
+    queries: Any, rng: np.random.Generator, size: int | None = None
+) -> AdversaryEstimate:
     """Guess a query point uniformly at random: heavily queried regions win."""
     n = _check_queries(queries)
-    return AdversaryEstimate(point=float(queries[rng.integers(n)]))
+    return AdversaryEstimate(point=_pick(queries, rng.integers(n, size=size)))
 
 
 def packing_ball_sample(
@@ -44,6 +61,7 @@ def packing_ball_sample(
     radius: float,
     centers: np.ndarray,
     rng: np.random.Generator,
+    size: int | None = None,
 ) -> AdversaryEstimate:
     """Guess the packing center whose ball absorbed the sampled query.
 
@@ -61,11 +79,13 @@ def packing_ball_sample(
         raise PackingError(
             f"centers are not a 2r-packing: min gap {np.min(np.diff(cen)):.6g} < {2 * radius:.6g}"
         )
-    x = float(queries[rng.integers(n)])
-    k = int(np.argmin(np.abs(cen - x)))
-    if abs(cen[k] - x) <= radius:
-        return AdversaryEstimate(point=float(cen[k]))
-    return AdversaryEstimate(point=x, fell_back=True)
+    x = _pick(queries, rng.integers(n, size=size))
+    # nearest center to each guess; argmin takes the first of two equally near
+    nearest = cen[abs(np.subtract.outer(x, cen)).argmin(axis=-1)]
+    inside = abs(nearest - x) <= radius
+    if size is None:
+        return AdversaryEstimate(point=float(nearest) if inside else x, fell_back=not inside)
+    return AdversaryEstimate(point=np.where(inside, nearest, x), fell_back=not inside.all())
 
 
 def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
@@ -76,7 +96,7 @@ def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
 
 
 def posterior_interval_adversary(
-    queries: Any, s_count: int, rng: np.random.Generator
+    queries: Any, s_count: int, rng: np.random.Generator, size: int | None = None
 ) -> AdversaryEstimate:
     """Exploit the final replicated phase: its S clusters carry all posterior mass.
 
@@ -89,21 +109,21 @@ def posterior_interval_adversary(
     n = _check_queries(queries)
     if s_count < 2:
         raise ParameterError(f"s_count must be >= 2, got {s_count}")
-    if n < s_count:
-        return AdversaryEstimate(point=float(queries[rng.integers(n)]), fell_back=True)
-    last = np.sort(queries[-s_count:])
-    gaps = np.diff(last)
-    if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
-        return AdversaryEstimate(point=float(last[rng.integers(s_count)]))
-    width = float(np.median(gaps))
-    if width > 0.0:
-        agree = _circular_agreement(np.mod(last, width), width)
-        outliers = np.nonzero(agree == 1)[0]
-        if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
-            return AdversaryEstimate(point=float(last[outliers[0]]))
-    return AdversaryEstimate(point=float(queries[rng.integers(n)]), fell_back=True)
+    if n >= s_count:
+        last = np.sort(queries[-s_count:])
+        gaps = np.diff(last)
+        if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
+            return AdversaryEstimate(point=_pick(last, rng.integers(s_count, size=size)))
+        width = float(np.median(gaps))
+        if width > 0.0:
+            agree = _circular_agreement(np.mod(last, width), width)
+            outliers = np.nonzero(agree == 1)[0]
+            if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
+                point = float(last[outliers[0]])
+                return AdversaryEstimate(point=point if size is None else np.full(size, point))
+    return AdversaryEstimate(point=_pick(queries, rng.integers(n, size=size)), fell_back=True)
 
 
-def uniform_naive(rng: np.random.Generator) -> AdversaryEstimate:
+def uniform_naive(rng: np.random.Generator, size: int | None = None) -> AdversaryEstimate:
     """Ignore the transcript entirely; guess uniformly on [0, 1]."""
-    return AdversaryEstimate(point=float(rng.uniform(0.0, 1.0)))
+    return AdversaryEstimate(point=rng.uniform(0.0, 1.0, size))

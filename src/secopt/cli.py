@@ -243,28 +243,27 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     with open(args.transcript) as fh:
-        transcript = Transcript.from_text(fh.read())
+        transcript = Transcript.from_text(fh)
     public = transcript.public_view()
     if len(public) == 0:
         raise ParameterError("transcript has no queries")
     s_count = args.s_count if args.s_count is not None else transcript.s_count
     stream = RngStream(args.seed, ())
+    n = args.samples
     samplers = {
-        "proportional": lambda rng: proportional_sample(public, rng),
+        "proportional": lambda rng: proportional_sample(public, rng, n),
         "packing_ball": lambda rng: packing_ball_sample(
-            public, args.eps_adv, default_packing_centers(args.eps_adv), rng
+            public, args.eps_adv, default_packing_centers(args.eps_adv), rng, n
         ),
-        "posterior_interval": lambda rng: posterior_interval_adversary(public, s_count, rng),
-        "uniform_naive": lambda rng: uniform_naive(rng),
+        "posterior_interval": lambda rng: posterior_interval_adversary(public, s_count, rng, n),
+        "uniform_naive": lambda rng: uniform_naive(rng, n),
     }
     print("strategy,successes,samples,success_rate")
     for i, name in enumerate(ADVERSARY_ORDER):
-        rng = stream.child(i).generator()
-        hits = sum(
-            abs(samplers[name](rng).point - args.x_star) <= args.eps_adv
-            for _ in range(args.samples)
-        )
-        print(f"{name},{hits},{args.samples},{hits / args.samples!r}")
+        # all samples in one call: the same guesses as n single draws
+        guesses = samplers[name](stream.child(i).generator()).point
+        hits = int((abs(guesses - args.x_star) <= args.eps_adv).sum())
+        print(f"{name},{hits},{n},{hits / n!r}")
     return 0
 
 
@@ -274,13 +273,12 @@ def cmd_export_transcript(args: argparse.Namespace, extras: list[str]) -> int:
     x_star = sample_x_star(config, stream)
     f = instance_for_trial(config, x_star)
     transcript = run_protocol(config, f, stream.child(0))
-    text = transcript.to_text(public=args.public)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            transcript.write_text(fh, public=args.public)
         print(f"wrote {len(transcript)} queries to {args.out}")
     else:
-        sys.stdout.write(text)
+        transcript.write_text(sys.stdout, public=args.public)
     return 0
 
 

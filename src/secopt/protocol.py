@@ -11,11 +11,14 @@ clusters per phase.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import re
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -35,6 +38,8 @@ _ROW_FIELDS = [
     ("sub", np.int64), ("informative", np.int64),
 ]
 _HEADER_KEYS = {"config", "mode", "public"}
+# rows formatted per write_text block: bounds the text held at once to a few MB
+_TEXT_BLOCK_ROWS = 65_536
 
 
 def subinterval_index(x: float, delta_adv: float) -> int:
@@ -207,38 +212,62 @@ class Transcript:
         view.flags.writeable = False
         return view
 
-    def to_text(self, public: bool = False) -> str:
-        head = f"# secopt-transcript config={self.config_hash} mode={self.mode} public={int(public)}"
-        columns = [self.points.tolist(), self.phase.tolist(), self.sub.tolist()]
-        fmt = "%d,%r,%d,%d"  # %r of a Python float is its shortest round-trip repr
+    def _text_blocks(self, public: bool) -> Iterator[str]:
+        """The header line, then blocks of at most _TEXT_BLOCK_ROWS rows."""
+        yield (
+            f"# secopt-transcript config={self.config_hash} mode={self.mode} "
+            f"public={int(public)}\n"
+        )
+        columns = [self.points, self.phase, self.sub]
+        fmt = "%d,%r,%d,%d\n"  # %r of a Python float is its shortest round-trip repr
         if not public:
-            columns.append(self.informative.tolist())
-            fmt += ",%d"
-        rows = zip(range(1, len(self) + 1), *columns)
-        return "\n".join([head, *(fmt % row for row in rows), ""])
+            columns.append(self.informative)
+            fmt = "%d,%r,%d,%d,%d\n"
+        n = len(self)
+        for lo in range(0, n, _TEXT_BLOCK_ROWS):
+            hi = min(lo + _TEXT_BLOCK_ROWS, n)
+            rows = zip(range(lo + 1, hi + 1), *(col[lo:hi].tolist() for col in columns))
+            yield (fmt * (hi - lo)) % tuple(itertools.chain.from_iterable(rows))
+
+    def write_text(self, fh: TextIO, public: bool = False) -> None:
+        """Write to_text(public) to fh one block at a time."""
+        for block in self._text_blocks(public):
+            fh.write(block)
+
+    def to_text(self, public: bool = False) -> str:
+        return "".join(self._text_blocks(public))
 
     @classmethod
-    def from_text(cls, text: str) -> "Transcript":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# secopt-transcript"):
+    def from_text(cls, source: str | Iterable[str]) -> "Transcript":
+        """Parse to_text output from a str or an open text file.  A file is read
+        line by line and never held whole; blank lines are skipped."""
+        # a str breaks lines where a file read in universal-newline mode does
+        lines = re.split(r"\r\n?|\n", source) if isinstance(source, str) else source
+        nonblank = filter(str.strip, lines)
+        head = next(nonblank, "").rstrip("\r\n")
+        if not head.startswith("# secopt-transcript"):
             raise ParameterError("not a transcript: missing header line")
-        tokens = lines[0].split()[2:]
+        tokens = head.split()[2:]
         try:
             header = dict(tok.split("=", 1) for tok in tokens)
         except ValueError:
-            raise ParameterError(f"malformed transcript header {lines[0]!r}") from None
+            raise ParameterError(f"malformed transcript header {head!r}") from None
         if len(header) != len(tokens) or not set(header) <= _HEADER_KEYS:
             raise ParameterError(
-                f"malformed transcript header {lines[0]!r}: "
+                f"malformed transcript header {head!r}: "
                 f"keys must be distinct and among {sorted(_HEADER_KEYS)}"
             )
         if header.get("public", "0") not in ("0", "1"):
             raise ParameterError(f"transcript header public={header['public']!r} is not 0 or 1")
         public = header.get("public") == "1"
         row_dtype = np.dtype(_ROW_FIELDS[:4] if public else _ROW_FIELDS)
-        if len(lines) > 1:
+        first = next(nonblank, None)
+        if first is not None:
             try:
-                rows = np.loadtxt(lines[1:], dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(
+                    itertools.chain([first], nonblank), dtype=row_dtype, delimiter=",",
+                    comments=None, ndmin=1,
+                )
             except ValueError as exc:
                 # numpy's message names the row and column; its usecols hint does not apply
                 reason = str(exc).split(";")[0]

@@ -1,6 +1,8 @@
 """Adversary estimators: sampling laws, packing rules, mirror detection."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from secopt import (
@@ -166,3 +168,60 @@ def test_proportional_on_real_transcript_is_uniform_over_subintervals() -> None:
     ]
     counts = np.bincount(subs, minlength=11)[1:]
     assert stats.chisquare(counts).pvalue > 0.01
+
+
+def _one_call_matches_single_draws(strategy, seed: int, k: int) -> None:
+    """strategy(gen, size=k) against k calls of strategy(gen, None) from the
+    same generator state: same points, same state after, fell_back = any."""
+    gen = np.random.default_rng(seed)
+    singles = [strategy(gen, None) for _ in range(k)]
+    state = gen.bit_generator.state
+    gen = np.random.default_rng(seed)
+    block = strategy(gen, k)
+    assert gen.bit_generator.state == state
+    assert all(type(e.point) is float and type(e.fell_back) is bool for e in singles)
+    assert type(block.fell_back) is bool
+    assert block.fell_back == any(e.fell_back for e in singles)
+    assert block.point.dtype == np.float64
+    assert block.point.tobytes() == np.array([e.point for e in singles]).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    head=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    s_count=st.integers(2, 12),
+    offset=st.floats(0.0, 1.0, exclude_max=True),
+    last_phase=st.sampled_from(["none", "mirror", "broken"]),
+    radius=st.sampled_from([0.01, 0.04, 0.1, 0.2]),
+    k=st.integers(1, 60),
+)
+def test_one_call_of_size_k_equals_k_single_draws(
+    seed, head, s_count, offset, last_phase, radius, k
+) -> None:
+    # numpy draws Generator.integers and .uniform one at a time or as a block
+    # from the same bits; adversary-eval relies on it
+    width = 1.0 / s_count
+    last = (offset * width + width * np.arange(s_count))[::-1]
+    if last_phase == "broken":
+        last[s_count // 2] += 0.3 * width
+    queries = np.array(head if last_phase == "none" else head + last.tolist())
+    centers = np.arange(radius, 1.0, 2.0 * radius)
+    strategies = [
+        lambda gen, size: proportional_sample(queries, gen, size),
+        lambda gen, size: packing_ball_sample(queries, radius, centers, gen, size),
+        lambda gen, size: posterior_interval_adversary(queries, s_count, gen, size),
+        lambda gen, size: uniform_naive(gen, size),
+    ]
+    for strategy in strategies:
+        _one_call_matches_single_draws(strategy, seed, k)
+    # the block path also takes a read-only transcript view
+    queries.flags.writeable = False
+    _one_call_matches_single_draws(strategies[0], seed, k)
+
+
+def test_block_draws_need_an_array_stream() -> None:
+    config = ProtocolConfig(T=400, overrides={"C0": 2.0})
+    tr = run_secure_convex(config, make_uniformly_convex(2.0, 1.0, 0.42), RngStream(3, ()))
+    with pytest.raises(TypeError):
+        proportional_sample(tr.public_view(), np.random.default_rng(0), 5)

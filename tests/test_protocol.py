@@ -214,71 +214,138 @@ def test_text_round_trip_property(rows, public) -> None:
     assert (back.config_hash, back.mode) == ("abc123", "Bisection")
 
 
+def _messy(text: str) -> str:
+    """text with blank and whitespace-only lines around every row, CRLF endings."""
+    head, *rows = text.splitlines()
+    return "\n \n" + head + "\r\n\t\r\n" + "\r\n  \r\n".join(rows) + "\r\n\r\n"
+
+
 def test_from_text_skips_blank_lines_and_crlf() -> None:
     tr = _convex_run(t=800)
     clean = Transcript.from_text(tr.to_text())
-    head, *rows = tr.to_text().splitlines()
-    messy = "\n \n" + head + "\r\n\t\r\n" + "\r\n  \r\n".join(rows) + "\r\n\r\n"
-    back = Transcript.from_text(messy)
+    back = Transcript.from_text(_messy(tr.to_text()))
     for name in ("points", "phase", "sub", "informative"):
         assert np.array_equal(getattr(back, name), getattr(clean, name))
     assert back.s_count == clean.s_count == 10
 
 
+_HEADER_ONLY = [
+    f"\n# secopt-transcript config=abc mode=Bisection public={public}\n  \n"
+    for public in (0, 1)
+]
+
+
 def test_from_text_header_only_gives_empty_transcript() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for public in (0, 1):
-            tr = Transcript.from_text(
-                f"\n# secopt-transcript config=abc mode=Bisection public={public}\n  \n"
-            )
+        for text in _HEADER_ONLY:
+            tr = Transcript.from_text(text)
             assert len(tr) == 0 and tr.s_count == 0 and tr.effective_gradients == 0
             assert (tr.points.dtype, tr.phase.dtype, tr.sub.dtype, tr.informative.dtype) == (
                 np.float64, np.int64, np.int64, np.bool_,
             )
 
 
+_PRIVATE = "# secopt-transcript config=abc mode=Bisection public=0\n"
+_PUBLIC = "# secopt-transcript config=abc mode=Bisection public=1\n"
+_MALFORMED_ROWS = [
+    _PRIVATE + "1,abc,1,1,0\n",  # non-numeric point
+    _PRIVATE + "1,0.5,1,1,0\n2,0.5,x,1,0\n",  # non-numeric phase in a later row
+    _PRIVATE + "z,0.5,1,1,0\n",  # non-numeric index
+    _PRIVATE + "1,0.5,1.5,1,0\n",  # fractional phase
+    _PRIVATE + "1,0.5,1,1\n",  # too few columns
+    _PRIVATE + "1,0.5,1,1,0\n2,0.5,1\n",
+    _PRIVATE + "1,0.5,1,1,0,7\n",  # too many columns
+    _PRIVATE + "1,0.5,1,1,0,\n",
+    _PUBLIC + "1,0.5,1,1,0\n",  # private row under a public header
+    "# secopt-transcript config=abc stray\n",  # header token without '='
+    _PRIVATE + "1,0.5,1,1,0\x0c2,0.25,1,3,1\n",  # a form feed is no line break
+    _PRIVATE + "1,0.5,1,1,0\u20282,0.25,1,3,1\n",
+]
+_BAD_INDEX_FLAGS_AND_HEADER = [
+    _PRIVATE + "7,0.5,1,1,2\n7,0.25,1,3,-1\n",  # index not 1..n, flags not 0/1
+    _PRIVATE + "1,0.5,1,1,0\n1,0.25,1,3,1\n",  # repeated index
+    _PRIVATE + "2,0.5,1,1,0\n1,0.25,1,3,1\n",  # rows out of order
+    _PRIVATE + "0,0.5,1,1,0\n",
+    _PUBLIC + "1,0.5,1,1\n3,0.25,1,3\n",  # gap in a public file
+    _PRIVATE + "1,0.5,1,1,2\n",  # informative flag 2
+    _PRIVATE + "1,0.5,1,1,-1\n",
+    "# secopt-transcript config=abc mode=Bisection public=yes\n1,0.5,1,1,0\n",
+    "# secopt-transcript config=abc mode=Bisection public=\n",
+    "# secopt-transcript config=abc mode=Bisection public=1 bogus=1\n",
+    "# secopt-transcript config=abc mode=Bisection public=0 public=1\n",  # repeated key
+    "",  # no header line
+    " \n\t\n",
+    "not a transcript\n1,2,3\n",
+]
+
+
 def test_from_text_rejects_malformed_rows() -> None:
-    private = "# secopt-transcript config=abc mode=Bisection public=0\n"
-    public = "# secopt-transcript config=abc mode=Bisection public=1\n"
-    bad = [
-        private + "1,abc,1,1,0\n",  # non-numeric point
-        private + "1,0.5,1,1,0\n2,0.5,x,1,0\n",  # non-numeric phase in a later row
-        private + "z,0.5,1,1,0\n",  # non-numeric index
-        private + "1,0.5,1.5,1,0\n",  # fractional phase
-        private + "1,0.5,1,1\n",  # too few columns
-        private + "1,0.5,1,1,0\n2,0.5,1\n",
-        private + "1,0.5,1,1,0,7\n",  # too many columns
-        private + "1,0.5,1,1,0,\n",
-        public + "1,0.5,1,1,0\n",  # private row under a public header
-        "# secopt-transcript config=abc stray\n",  # header token without '='
-    ]
-    for text in bad:
+    for text in _MALFORMED_ROWS:
         with pytest.raises(ParameterError):
             Transcript.from_text(text)
 
 
 def test_from_text_rejects_bad_index_flags_and_header() -> None:
-    private = "# secopt-transcript config=abc mode=Bisection public=0\n"
-    public = "# secopt-transcript config=abc mode=Bisection public=1\n"
-    bad = [
-        private + "7,0.5,1,1,2\n7,0.25,1,3,-1\n",  # index not 1..n, flags not 0/1
-        private + "1,0.5,1,1,0\n1,0.25,1,3,1\n",  # repeated index
-        private + "2,0.5,1,1,0\n1,0.25,1,3,1\n",  # rows out of order
-        private + "0,0.5,1,1,0\n",
-        public + "1,0.5,1,1\n3,0.25,1,3\n",  # gap in a public file
-        private + "1,0.5,1,1,2\n",  # informative flag 2
-        private + "1,0.5,1,1,-1\n",
-        "# secopt-transcript config=abc mode=Bisection public=yes\n1,0.5,1,1,0\n",
-        "# secopt-transcript config=abc mode=Bisection public=\n",
-        "# secopt-transcript config=abc mode=Bisection public=1 bogus=1\n",
-        "# secopt-transcript config=abc mode=Bisection public=0 public=1\n",  # repeated key
-    ]
-    for text in bad:
+    for text in _BAD_INDEX_FLAGS_AND_HEADER:
         with pytest.raises(ParameterError):
             Transcript.from_text(text)
-    ok = Transcript.from_text(private + "1,0.5,1,1,0\n2,0.25,1,3,1\n")
+    ok = Transcript.from_text(_PRIVATE + "1,0.5,1,1,0\n2,0.25,1,3,1\n")
     assert ok.informative.tolist() == [False, True] and ok.effective_gradients == 1
+
+
+def _parse_outcome(source) -> tuple:
+    """The parsed arrays and header fields, or the ParameterError message."""
+    try:
+        tr = Transcript.from_text(source)
+    except ParameterError as exc:
+        return ("error", str(exc))
+    arrays = tuple(
+        (getattr(tr, name).dtype.str, getattr(tr, name).tobytes())
+        for name in ("points", "phase", "sub", "informative")
+    )
+    return arrays, tr.config_hash, tr.mode, tr.s_count, tr.effective_gradients
+
+
+def test_from_text_parses_a_file_like_the_str(tmp_path) -> None:
+    ok = _PRIVATE + "1,0.5,1,1,0\n2,0.25,1,3,1\n"
+    good = [_convex_run(t=800).to_text(public=public) for public in (False, True)]
+    cases = [
+        *good, *(_messy(text) for text in good), _messy(ok), ok, *_HEADER_ONLY,
+        *_MALFORMED_ROWS, *_BAD_INDEX_FLAGS_AND_HEADER,
+    ]
+    path = tmp_path / "t.txt"
+    for text in cases:
+        path.write_bytes(text.encode())
+        with open(path) as fh:  # read as adversary-eval reads it
+            from_file = _parse_outcome(fh)
+        assert from_file == _parse_outcome(text), text[:80]
+    assert sum(_parse_outcome(text)[0] == "error" for text in cases) == (
+        len(_MALFORMED_ROWS) + len(_BAD_INDEX_FLAGS_AND_HEADER)
+    )
+
+
+class _WriteRecorder:
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def test_write_text_streams_in_blocks_of_rows() -> None:
+    from secopt import protocol
+
+    block = protocol._TEXT_BLOCK_ROWS
+    tr = _convex_run(t=2 * block + 5000)  # two full blocks and a partial one
+    assert len(tr) > 2 * block
+    for public in (False, True):
+        sink = _WriteRecorder()
+        tr.write_text(sink, public=public)
+        assert len(sink.writes) == 1 + math.ceil(len(tr) / block)
+        assert max(text.count("\n") for text in sink.writes) == block
+        text = "".join(sink.writes)
+        assert text == tr.to_text(public=public) == _reference_to_text(tr, public)
 
 
 def test_public_view_is_read_only() -> None:
