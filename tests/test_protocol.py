@@ -76,6 +76,10 @@ def test_config_hash_and_updates() -> None:
     assert a.T == 1000 and b.T == 2000
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == ProtocolConfig(T=1000).config_hash()
+    # frozen: the hash is written into every transcript header
+    assert ProtocolConfig().config_hash() == "2d3f891018b7"
+    assert ProtocolConfig(T=1000, overrides={"C0": 2.0, "C1": 0.02}).config_hash() == "73e3fb136295"
+    assert ProtocolConfig(mode="NoisyBisection", x_star=0.43).config_hash() == "7f7834db9524"
 
 
 def _convex_run(t: int = 6000, seed: int = 31) -> Transcript:
