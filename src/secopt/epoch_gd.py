@@ -5,16 +5,16 @@ The solver runs in epochs whose lengths double while the step size shrinks by
 projected step onto [0, 1]  intersect  [anchor - R_e, anchor + R_e]; the next
 anchor is the average of the epoch's first T_e iterates.  The epoch lengths,
 step sizes and radii depend only on the problem parameters and the budget, so
-epoch_schedule() lists them as plain data and epoch_gd_solve() runs them.
+epoch_schedule() lists them as plain data and epoch_gd_solve() runs them on
+the uniformly convex objective, whose gradient it computes inline.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import islice, repeat
-from typing import Any
 
 import numpy as np
 
@@ -108,13 +108,20 @@ def epoch_schedule(
 def epoch_gd_solve(
     schedule: Sequence[tuple[int, float, float]],
     x_init: float,
-    subgrad: Callable[[float], Any],
     grad_noise: Sequence[float],
+    *,
+    kappa: float,
+    lam: float,
+    x_star: float,
 ) -> tuple[np.ndarray, int, float]:
-    """Run the schedule from x_init, one step per noise entry.
+    """Run the schedule from x_init on f(x) = (lam/2) * |x - x_star|^kappa,
+    one step per noise entry.
 
-    Step k proposes a point and, while the schedule lasts, feeds
-    subgrad(point) + grad_noise[k].  Each epoch starts at its anchor and ends
+    Step k proposes a point and, while the schedule lasts, feeds the gradient
+    of f there plus grad_noise[k].  The gradient is computed inline, as
+    make_uniformly_convex's subgrad computes it on the same floats: lam * d at
+    kappa = 2, else (lam*kappa/2) * |d|^(kappa-2) * d, with d = point - x_star;
+    lam = 0 feeds the noise alone.  Each epoch starts at its anchor and ends
     with anchor = clamp(sum of its proposals / T_e).  Steps past the schedule
     propose that final anchor, which is also the estimate.  Returns the
     proposals, the gradients fed (the schedule's total length) and the
@@ -130,6 +137,10 @@ def epoch_gd_solve(
     append = proposals.append
     noise = iter(grad_noise)
     anchor = float(x_init)
+    quadratic = kappa == 2.0
+    # the left-to-right products of the closure's 0.5 * lam * kappa * |d|**(kappa-2) * d
+    scale = 0.5 * lam * kappa
+    power = kappa - 2.0
     for epoch_len, eta, radius in schedule:
         lo = max(0.0, anchor - radius)
         hi = min(1.0, anchor + radius)
@@ -138,7 +149,8 @@ def epoch_gd_solve(
         for z in islice(noise, epoch_len):
             append(x)
             s += x
-            x -= eta * (float(subgrad(x)) + z)
+            d = x - x_star
+            x -= eta * ((lam * d if quadratic else scale * abs(d) ** power * d) + z)
             if x < lo:
                 x = lo
             elif x > hi:

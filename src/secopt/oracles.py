@@ -34,9 +34,19 @@ def sign_oracle(f: FunctionInstance, x: float) -> int:
     return 1 if float(f.subgrad(x)) >= 0.0 else -1
 
 
-def noisy_sign_oracle(f: FunctionInstance, x: float, p: float, rng: np.random.Generator) -> int:
-    """Sign oracle that is correct with probability p, flipped otherwise."""
+def noisy_sign_oracle(
+    f: FunctionInstance, x: float, p: float, rng: np.random.Generator, size: int | None = None
+) -> int | np.ndarray:
+    """Sign oracle that is correct with probability p, flipped otherwise.
+
+    size None (the default) gives one sign, an int; an integer m gives m
+    independent responses at x as one int64 array, equal to m calls with
+    size=None from the same generator state, because the generator draws the
+    same uniforms one at a time or as a block.
+    """
     if not 0.5 < p < 1.0:
         raise ParameterError(f"p must lie in (0.5, 1), got {p}")
     s = sign_oracle(f, x)
-    return -s if rng.random() >= p else s
+    if size is None:
+        return -s if rng.random() >= p else s
+    return np.where(rng.random(size) >= p, -s, s)

@@ -17,7 +17,7 @@ import math
 import re
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, TextIO
 
 import numpy as np
@@ -129,11 +129,9 @@ class ProtocolConfig:
                 f"budget T={self.T} cannot cover one phase of S={self.subintervals} queries"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
+        # vars() holds every field by name, as asdict() would, without its deep copy
+        blob = json.dumps(vars(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def with_updates(self, **kwargs: Any) -> "ProtocolConfig":
@@ -287,10 +285,10 @@ class Transcript:
             if not np.all((flags == 0) | (flags == 1)):
                 raise ParameterError("malformed transcript data: informative must be 0 or 1")
             informative = flags.astype(bool)
-        sub = rows["sub"].copy()
+        # column views, not copies: copying would hold the columns twice at once
+        sub = rows["sub"]
         return cls(
-            points=rows["points"].copy(), phase=rows["phase"].copy(), sub=sub,
-            informative=informative,
+            points=rows["points"], phase=rows["phase"], sub=sub, informative=informative,
             x_hat=math.nan, effective_gradients=int(informative.sum()),
             config_hash=header.get("config", ""), mode=header.get("mode", ""),
             s_count=int(sub.max()) if n else 0,
@@ -366,14 +364,20 @@ def _solve_convex(
 ) -> tuple[np.ndarray, int, float]:
     """Epoch-doubling run of n_steps noisy gradient queries from a uniform start.
 
-    Returns the proposed points, the gradients fed and the final estimate.
+    f is a make_uniformly_convex instance: its kappa, lam and x_star define
+    the gradient that the solver computes.  Returns the proposed points, the
+    gradients fed and the final estimate.
     """
+    if isinstance(f.kappa, str):
+        raise ParameterError(
+            f"the convex solver needs a uniformly convex instance, got kappa={f.kappa!r}"
+        )
     x_init = float(rng.child(_STREAM_INIT).generator().uniform(0.0, 1.0))
     schedule = epoch_schedule(
         config.kappa, config.lam, config.delta, config.W, n_steps, config.overrides
     )
     noise = _gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
-    return epoch_gd_solve(schedule, x_init, f.subgrad, noise)
+    return epoch_gd_solve(schedule, x_init, noise, kappa=f.kappa, lam=f.lam, x_star=f.x_star)
 
 
 def _replicated_transcript(
@@ -462,7 +466,7 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
         mid = 0.5 * (lo + hi)
         offsets += [mid - base] * this_round
         if noisy:
-            votes = sum(noisy_sign_oracle(f, mid, config.p, noise_gen) for _ in range(this_round))
+            votes = int(noisy_sign_oracle(f, mid, config.p, noise_gen, this_round).sum())
         else:
             votes = sign_oracle(f, mid)
         if votes >= 0:

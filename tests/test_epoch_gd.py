@@ -24,11 +24,12 @@ def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:
     gen = stream.generator()
     x_init = float(gen.uniform(*f.domain))
     schedule = epoch_schedule(float(f.kappa), f.lam, delta, w, budget, overrides)
-    return epoch_gd_solve(schedule, x_init, f.subgrad, _gradient_noise(gen, sigma, budget))[2]
+    noise = _gradient_noise(gen, sigma, budget)
+    return epoch_gd_solve(schedule, x_init, noise, kappa=f.kappa, lam=f.lam, x_star=f.x_star)[2]
 
 
-def _zero(x: float) -> float:
-    return 0.0
+# lam = 0: the objective is flat, so every step feeds its noise entry alone
+_FLAT = {"kappa": 2.0, "lam": 0.0, "x_star": 0.0}
 
 
 def test_c0_golden() -> None:
@@ -56,9 +57,10 @@ def test_schedule_ratios_and_six_epochs() -> None:
 
 def test_first_proposal_is_x_init_and_idempotent() -> None:
     schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 10**4)
-    f = make_uniformly_convex(2.0, 1.0, 0.7)
     noise = np.random.default_rng(4).normal(0.0, 0.1, 10**4).tolist()
-    first, again = (epoch_gd_solve(schedule, 0.4, f.subgrad, noise) for _ in range(2))
+    first, again = (
+        epoch_gd_solve(schedule, 0.4, noise, kappa=2.0, lam=1.0, x_star=0.7) for _ in range(2)
+    )
     assert first[0][0] == 0.4
     # the schedule is plain data: running it twice gives the same run
     assert first[0].tobytes() == again[0].tobytes() and first[1:] == again[1:]
@@ -66,7 +68,8 @@ def test_first_proposal_is_x_init_and_idempotent() -> None:
 
 def test_feed_requires_propose() -> None:
     # every gradient is taken at the point just proposed, and none after the
-    # schedule ends: C0=2 gives epochs of 4, 8, 16 and 32 steps in a budget of 100
+    # schedule ends: C0=2 gives epochs of 4, 8, 16 and 32 steps in a budget of 100.
+    # The per-step reference records where it takes them; the solver must match it.
     f = make_uniformly_convex(2.0, 1.0, 0.3)
     seen = []
 
@@ -74,9 +77,14 @@ def test_feed_requires_propose() -> None:
         seen.append(x)
         return f.subgrad(x)
 
-    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})
-    proposals, fed, _ = epoch_gd_solve(schedule, 0.9, subgrad, [0.0] * 100)
-    assert fed == 60 and seen == proposals[:fed].tolist()
+    overrides = {"C0": 2.0}
+    schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides)
+    proposals, fed, _ = epoch_gd_solve(schedule, 0.9, [0.0] * 100, kappa=2.0, lam=1.0, x_star=0.3)
+    want, want_fed, _ = _reference_solve(
+        2.0, 1.0, 0.05, 2.0, 100, overrides, 0.9, subgrad, [0.0] * 100
+    )
+    assert fed == want_fed == 60 and seen == want[:fed].tolist()
+    assert proposals.tobytes() == want.tobytes()
 
 
 def test_feed_after_done_rejected() -> None:
@@ -87,8 +95,14 @@ def test_feed_after_done_rejected() -> None:
 
     schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 10)
     assert schedule == []
-    proposals, fed, x_hat = epoch_gd_solve(schedule, 0.4, subgrad, [0.1] * 10)
+    proposals, fed, x_hat = epoch_gd_solve(
+        schedule, 0.4, [0.1] * 10, kappa=2.0, lam=1.0, x_star=0.9
+    )
     assert fed == 0 and x_hat == 0.4 and np.all(proposals == 0.4)
+    want, want_fed, want_x_hat = _reference_solve(
+        2.0, 1.0, 0.05, 2.0, 10, None, 0.4, subgrad, [0.1] * 10
+    )
+    assert proposals.tobytes() == want.tobytes() and (fed, x_hat) == (want_fed, want_x_hat)
 
 
 @pytest.mark.parametrize(
@@ -103,7 +117,7 @@ def test_projected_step_clamping(iterate, eta, g, expected) -> None:
     # one epoch anchored at 0.5 with R = 0.3; the noise carries the gradients:
     # the first step moves to `iterate`, the second applies g from there
     proposals, _, _ = epoch_gd_solve(
-        [(3, eta, 0.3)], 0.5, _zero, [(0.5 - iterate) / eta, g, 0.0]
+        [(3, eta, 0.3)], 0.5, [(0.5 - iterate) / eta, g, 0.0], **_FLAT
     )
     assert proposals[1] == pytest.approx(iterate, rel=1e-15)
     assert proposals[2] == pytest.approx(expected, rel=1e-15)
@@ -113,7 +127,7 @@ def test_epoch_average_includes_anchor_excludes_last() -> None:
     # zero gradients keep the iterate constant, so the epoch-2 anchor, its
     # first proposal, equals the initial point exactly
     proposals, _, x_hat = epoch_gd_solve(
-        [(4, 1.0, 0.5), (8, 0.5, 0.3)], 0.625, _zero, [0.0] * 12
+        [(4, 1.0, 0.5), (8, 0.5, 0.3)], 0.625, [0.0] * 12, **_FLAT
     )
     assert proposals[4] == 0.625 and x_hat == 0.625
 
@@ -122,10 +136,9 @@ def test_epoch_average_arithmetic_exact() -> None:
     # eta=1 on the quadratic jumps straight to x* after the first step, so the
     # epoch-2 anchor is (x_init + 3 x*) / 4: anchor in, last iterate out
     xs, x0 = 0.25, 0.8125
-    f = make_uniformly_convex(2.0, 1.0, xs)
     epoch_len, eta, _ = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})[0]
     assert eta == 1.0 and epoch_len == 4
-    _, fed, x_hat = epoch_gd_solve([(4, 1.0, 1.0)], x0, f.subgrad, [0.0] * 4)
+    _, fed, x_hat = epoch_gd_solve([(4, 1.0, 1.0)], x0, [0.0] * 4, kappa=2.0, lam=1.0, x_star=xs)
     assert fed == 4 and x_hat == (x0 + 3.0 * xs) / 4.0
 
 
@@ -133,7 +146,7 @@ def test_budget_stops_after_last_full_epoch() -> None:
     schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 5, overrides={"C0": 2.0})
     # T_1 = 4 fits in 5; T_2 = 8 would need 12 total, so the solver stops there
     assert [epoch_len for epoch_len, _, _ in schedule] == [4]
-    proposals, fed, x_hat = epoch_gd_solve(schedule, 0.3125, _zero, [0.0] * 5)
+    proposals, fed, x_hat = epoch_gd_solve(schedule, 0.3125, [0.0] * 5, **_FLAT)
     assert fed == 4 and x_hat == 0.3125 and proposals[4] == 0.3125
 
 
@@ -143,7 +156,7 @@ def test_init_validation() -> None:
     with pytest.raises(ParameterError):
         epoch_schedule(2.0, 1.0, 1.5, 2.0, 100)
     with pytest.raises(DomainError):
-        epoch_gd_solve([], 1.5, _zero, [0.0])
+        epoch_gd_solve([], 1.5, [0.0], **_FLAT)
     with pytest.raises(ParameterError):
         epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C9": 1.0})
     for bad in (0.0, -1.0, float("nan"), float("inf"), "2", True):
@@ -152,7 +165,7 @@ def test_init_validation() -> None:
     # noise that ends mid-schedule cannot be run: the schedule here is 60 steps
     schedule = epoch_schedule(2.0, 1.0, 0.05, 2.0, 100, overrides={"C0": 2.0})
     with pytest.raises(ParameterError, match="cannot cover"):
-        epoch_gd_solve(schedule, 0.5, _zero, [0.0] * 59)
+        epoch_gd_solve(schedule, 0.5, [0.0] * 59, **_FLAT)
 
 
 def test_noiseless_convergence() -> None:
@@ -239,7 +252,9 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(
-    kappa=st.one_of(st.sampled_from([2.0, 3.0]), st.floats(min_value=2.0, max_value=4.0)),
+    kappa=st.one_of(
+        st.sampled_from([2.0, 2.5, 3.0, 4.0]), st.floats(min_value=2.0, max_value=4.0)
+    ),
     lam=st.floats(min_value=0.25, max_value=4.0),
     c0=st.one_of(st.none(), st.floats(min_value=1.0, max_value=4.0)),
     budget=st.integers(1, 5000),
@@ -253,13 +268,17 @@ def test_drive_matches_per_step_loop(
     kappa, lam, c0, budget, slack, x_init, x_star, sigma, seed
 ) -> None:
     # the noise covers the schedule plus a slack drawn apart from the budget,
-    # so a run can end exactly on the last epoch or long after it
+    # so a run can end exactly on the last epoch or long after it.  The
+    # reference steps with make_uniformly_convex's subgrad closure, so this
+    # also pins the solver's inline gradient to the closure bit for bit.
     overrides = None if c0 is None else {"C0": c0}
     f = make_uniformly_convex(kappa, lam, x_star)
     schedule = epoch_schedule(kappa, lam, 0.05, 2.0, budget, overrides)
     n_noise = sum(epoch_len for epoch_len, _, _ in schedule) + slack
     noise = np.random.default_rng(seed).normal(0.0, sigma, n_noise).tolist()
-    got, got_fed, got_x_hat = epoch_gd_solve(schedule, x_init, f.subgrad, noise)
+    got, got_fed, got_x_hat = epoch_gd_solve(
+        schedule, x_init, noise, kappa=f.kappa, lam=f.lam, x_star=f.x_star
+    )
     want, want_fed, want_x_hat = _reference_solve(
         kappa, lam, 0.05, 2.0, budget, overrides, x_init, f.subgrad, noise
     )

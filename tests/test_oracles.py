@@ -1,6 +1,8 @@
 """Oracle models and the seeded stream discipline they rely on."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from secopt import (
@@ -51,6 +53,24 @@ def test_noisy_sign_frozen_replay() -> None:
     gen = RngStream(42, (0,)).generator()
     signs = [noisy_sign_oracle(f, 0.3, 0.75, gen) for _ in range(5)]
     assert signs == [1, 1, 1, -1, 1]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 300),
+    p=st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+    x=st.floats(0.0, 1.0),
+)
+def test_one_call_of_size_m_equals_m_single_calls(seed, m, p, x) -> None:
+    # the protocol draws each majority round as one block; this pins that the
+    # block gives the same signs and leaves the generator in the same state
+    f = make_abs(0.5)
+    block_gen, single_gen = (RngStream(seed, (2,)).generator() for _ in range(2))
+    block = noisy_sign_oracle(f, x, p, block_gen, size=m)
+    singles = [noisy_sign_oracle(f, x, p, single_gen) for _ in range(m)]
+    assert block.dtype == np.int64 and block.tolist() == singles
+    assert block_gen.bit_generator.state == single_gen.bit_generator.state
 
 
 def test_noisy_sign_degenerate_p() -> None:

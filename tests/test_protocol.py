@@ -126,7 +126,7 @@ def test_transcript_matches_per_call_reference() -> None:
     noise = [float(noise_gen.normal(0.0, config.sigma, size=2)[1]) for _ in range(n)]
     schedule = epoch_schedule(config.kappa, config.lam, config.delta, config.W, n, config.overrides)
     assert sum(epoch_len for epoch_len, _, _ in schedule) == n
-    xbars, fed, x_hat = epoch_gd_solve(schedule, x_init, f.subgrad, noise)
+    xbars, fed, x_hat = epoch_gd_solve(schedule, x_init, noise, kappa=2.0, lam=1.0, x_star=0.42)
     pts = []
     for xb in xbars:
         order = np.argsort(perm_gen.random(s_count))
@@ -173,6 +173,17 @@ def test_transcript_round_trip() -> None:
     assert pub.informative.sum() == 0
     with pytest.raises(ParameterError):
         Transcript.from_text("not a transcript\n1,2,3\n")
+
+
+def test_from_text_columns_are_views_of_the_parsed_rows() -> None:
+    # the parsed columns share the one row array, so parsing holds no second copy
+    tr = _convex_run(t=800)
+    for public in (False, True):
+        back = Transcript.from_text(tr.to_text(public=public))
+        rows = back.points.base
+        assert rows is not None and rows.dtype.names is not None
+        assert back.phase.base is rows and back.sub.base is rows
+        assert np.array_equal(back.points, tr.points) and np.array_equal(back.sub, tr.sub)
 
 
 def _reference_to_text(tr: Transcript, public: bool) -> str:
@@ -564,3 +575,7 @@ def test_mode_mismatch_rejected() -> None:
         run_secure_convex(config, f, RngStream(1, (0,)))
     with pytest.raises(ParameterError):
         run_secure_bisection(config.with_updates(mode="ConvexEpochGD"), f, RngStream(1, (0,)))
+    # the solver computes the uniformly convex gradient from kappa, lam and x_star
+    for run in (run_secure_convex, run_plain_convex):
+        with pytest.raises(ParameterError, match="uniformly convex"):
+            run(config.with_updates(mode="ConvexEpochGD"), make_abs(0.5), RngStream(1, (0,)))
