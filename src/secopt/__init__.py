@@ -6,7 +6,10 @@ about the optimizer's location, at the price of a 1/delta_adv slowdown in the
 effective sample budget.
 """
 from .adversary import (
+    ADVERSARY_ORDER,
     AdversaryEstimate,
+    adversary_guesses,
+    default_packing_centers,
     packing_ball_sample,
     posterior_interval_adversary,
     proportional_sample,
@@ -44,13 +47,11 @@ from .functions import (
     make_uniformly_convex,
 )
 from .harness import (
-    ADVERSARY_ORDER,
     CSV_HEADER,
     BatchSummary,
     SlopeFit,
     SweepResult,
     TrialOutcome,
-    default_packing_centers,
     export_csv,
     instance_for_trial,
     run_batch,
@@ -72,8 +73,6 @@ from .protocol import (
     majority_repetitions,
     run_plain_convex,
     run_protocol,
-    run_secure_bisection,
-    run_secure_convex,
     subinterval_index,
 )
 
@@ -100,6 +99,7 @@ __all__ = [
     "SweepResult",
     "Transcript",
     "TrialOutcome",
+    "adversary_guesses",
     "binary_entropy",
     "c_of_p",
     "default_constants",
@@ -124,8 +124,6 @@ __all__ = [
     "run_batch",
     "run_plain_convex",
     "run_protocol",
-    "run_secure_bisection",
-    "run_secure_convex",
     "run_trial",
     "sample_x_star",
     "sign_oracle",

@@ -16,6 +16,7 @@ at a time or as a block.  Guessing k points at once needs an array stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import PackingError, ParameterError
 
 _OFFSET_TOL = 1e-9
+
+ADVERSARY_ORDER = ("proportional", "packing_ball", "posterior_interval", "uniform_naive")
 
 
 @dataclass(frozen=True)
@@ -127,3 +130,24 @@ def posterior_interval_adversary(
 def uniform_naive(rng: np.random.Generator, size: int | None = None) -> AdversaryEstimate:
     """Ignore the transcript entirely; guess uniformly on [0, 1]."""
     return AdversaryEstimate(point=rng.uniform(0.0, 1.0, size))
+
+
+def default_packing_centers(eps_adv: float) -> np.ndarray:
+    """Touching-ball packing of [0, 1]: centers eps_adv, 3*eps_adv, ..."""
+    return np.arange(eps_adv, 1.0, 2.0 * eps_adv)
+
+
+def adversary_guesses(
+    queries: Any, s_count: int, eps_adv: float, rngs: Sequence[np.random.Generator],
+    size: int | None = None,
+) -> dict[str, AdversaryEstimate]:
+    """Each strategy's guess, in ADVERSARY_ORDER; strategy i draws from rngs[i]."""
+    proportional, packing, posterior, naive = rngs
+    return {
+        "proportional": proportional_sample(queries, proportional, size),
+        "packing_ball": packing_ball_sample(
+            queries, eps_adv, default_packing_centers(eps_adv), packing, size
+        ),
+        "posterior_interval": posterior_interval_adversary(queries, s_count, posterior, size),
+        "uniform_naive": uniform_naive(naive, size),
+    }

@@ -17,18 +17,11 @@ from dataclasses import fields
 
 import yaml
 
-from .adversary import (
-    packing_ball_sample,
-    posterior_interval_adversary,
-    proportional_sample,
-    uniform_naive,
-)
+from .adversary import ADVERSARY_ORDER, adversary_guesses
 from .bounds import make_rate_report
 from .errors import ParameterError
 from .harness import (
-    ADVERSARY_ORDER,
     BatchSummary,
-    default_packing_centers,
     export_csv,
     instance_for_trial,
     run_batch,
@@ -250,19 +243,14 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
     s_count = args.s_count if args.s_count is not None else transcript.s_count
     stream = RngStream(args.seed, ())
     n = args.samples
-    samplers = {
-        "proportional": lambda rng: proportional_sample(public, rng, n),
-        "packing_ball": lambda rng: packing_ball_sample(
-            public, args.eps_adv, default_packing_centers(args.eps_adv), rng, n
-        ),
-        "posterior_interval": lambda rng: posterior_interval_adversary(public, s_count, rng, n),
-        "uniform_naive": lambda rng: uniform_naive(rng, n),
-    }
+    # all samples in one call: the same guesses as n single draws
+    estimates = adversary_guesses(
+        public, s_count, args.eps_adv,
+        [stream.child(i).generator() for i in range(len(ADVERSARY_ORDER))], n,
+    )
     print("strategy,successes,samples,success_rate")
-    for i, name in enumerate(ADVERSARY_ORDER):
-        # all samples in one call: the same guesses as n single draws
-        guesses = samplers[name](stream.child(i).generator()).point
-        hits = int((abs(guesses - args.x_star) <= args.eps_adv).sum())
+    for name, estimate in estimates.items():
+        hits = int((abs(estimate.point - args.x_star) <= args.eps_adv).sum())
         print(f"{name},{hits},{n},{hits / n!r}")
     return 0
 

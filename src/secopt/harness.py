@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import (
-    packing_ball_sample,
-    posterior_interval_adversary,
-    proportional_sample,
-    uniform_naive,
-)
+from .adversary import ADVERSARY_ORDER, adversary_guesses
 from .errors import ParameterError
 from .functions import FunctionInstance, make_abs, make_uniformly_convex
 from .oracles import RngStream
@@ -33,11 +28,8 @@ CSV_HEADER = (
     "adv_post_success,adv_naive_success,queries_used,ms"
 )
 
-ADVERSARY_ORDER = ("proportional", "packing_ball", "posterior_interval", "uniform_naive")
-
-# child indices under a trial's stream
-_CHILD_PROTOCOL, _CHILD_XSTAR = 0, 1
-_CHILD_ADV = {name: 2 + i for i, name in enumerate(ADVERSARY_ORDER)}
+# child indices under a trial's stream; the adversaries take 2, 3, ... in ADVERSARY_ORDER
+_CHILD_PROTOCOL, _CHILD_XSTAR, _CHILD_ADV = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -63,11 +55,6 @@ class BatchSummary:
     function_quantiles: tuple[float, float, float]
     mean_ms: float
     outcomes: list[TrialOutcome]
-
-
-def default_packing_centers(eps_adv: float) -> np.ndarray:
-    """Touching-ball packing of [0, 1]: centers eps_adv, 3*eps_adv, ..."""
-    return np.arange(eps_adv, 1.0, 2.0 * eps_adv)
 
 
 def instance_for_trial(config: ProtocolConfig, x_star: float) -> FunctionInstance:
@@ -99,23 +86,10 @@ def run_trial(config: ProtocolConfig, trial: int, master_seed: int) -> TrialOutc
         f = instance_for_trial(config, x_star)
         t0 = time.perf_counter()
         transcript = run_protocol(config, f, stream.child(_CHILD_PROTOCOL))
-        public = transcript.public_view()
-        estimates = {
-            "proportional": proportional_sample(
-                public, stream.child(_CHILD_ADV["proportional"]).generator()
-            ),
-            "packing_ball": packing_ball_sample(
-                public, config.eps_adv, default_packing_centers(config.eps_adv),
-                stream.child(_CHILD_ADV["packing_ball"]).generator(),
-            ),
-            "posterior_interval": posterior_interval_adversary(
-                public, config.subintervals,
-                stream.child(_CHILD_ADV["posterior_interval"]).generator(),
-            ),
-            "uniform_naive": uniform_naive(
-                stream.child(_CHILD_ADV["uniform_naive"]).generator()
-            ),
-        }
+        estimates = adversary_guesses(
+            transcript.public_view(), config.subintervals, config.eps_adv,
+            [stream.child(_CHILD_ADV + i).generator() for i in range(len(ADVERSARY_ORDER))],
+        )
         ms = (time.perf_counter() - t0) * 1e3
         point_error = abs(transcript.x_hat - x_star)
         function_error = float(f.value(transcript.x_hat)) - f.f_star

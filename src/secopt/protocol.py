@@ -25,7 +25,7 @@ import numpy as np
 from .epoch_gd import check_overrides, epoch_gd_solve, epoch_schedule
 from .errors import BudgetError, DomainError, ParameterError
 from .functions import FunctionInstance
-from .oracles import RngStream, noisy_sign_oracle, sign_oracle
+from .oracles import RngStream, gradient_noise, noisy_sign_oracle, sign_oracle
 
 MODES = ("ConvexEpochGD", "Bisection", "NoisyBisection")
 
@@ -47,8 +47,12 @@ def subinterval_index(x: float, delta_adv: float) -> int:
     containing x; x = 1 belongs to the S-th."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x={x} outside [0, 1]")
-    s_count = math.floor(1.0 / delta_adv)
-    return min(math.floor(x / (1.0 / s_count)) + 1, s_count)
+    return int(_cell_index(x, math.floor(1.0 / delta_adv)))
+
+
+def _cell_index(points: float | np.ndarray, s_count: int) -> np.ndarray:
+    """subinterval_index of a point or an array of points, given S."""
+    return np.minimum(np.floor(points / (1.0 / s_count)).astype(np.int64) + 1, s_count)
 
 
 @dataclass
@@ -119,6 +123,9 @@ class ProtocolConfig:
             raise ParameterError(f"lam and W must be positive, got lam={self.lam}, W={self.W}")
         if not self.sigma >= 0.0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        for name in ("kappa", "lam", "W", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.5 < self.p < 1.0:
             raise ParameterError(f"p must lie in (0.5, 1), got {self.p}")
         check_overrides(self.overrides)
@@ -343,41 +350,38 @@ class PublicView:
         raise TypeError("a PublicView is read query by query; Transcript.points is the array")
 
 
-def _gradient_noise(gen: np.random.Generator, sigma: float, n: int) -> list[float]:
-    """Gradient noise of n Gaussian first-order oracle responses, N(0, sigma^2).
-
-    Drawn as one (n, 2) block in the oracle's (value, gradient) order; only the
-    gradient column is used.  sigma = 0 draws nothing.
-    """
-    if sigma > 0.0:
-        return gen.normal(0.0, sigma, size=(n, 2))[:, 1].tolist()
-    return [0.0] * n
-
-
-def _home_index(points: np.ndarray, s_count: int) -> np.ndarray:
-    """subinterval_index over an array of points."""
-    return np.minimum(np.floor(points / (1.0 / s_count)).astype(np.int64) + 1, s_count)
+def _objective_x_star(config: ProtocolConfig, f: FunctionInstance) -> float:
+    """Validate config and return f.x_star if f is the config's objective (see
+    run_protocol).  Compares the data fields, not the closures, which a caller
+    may wrap."""
+    config.validate()
+    kappa, lam = (config.kappa, config.lam) if config.mode == "ConvexEpochGD" else ("abs", 1.0)
+    x_star = f.x_star if config.x_star is None else config.x_star
+    want = (kappa, lam, 0.0, (0.0, 1.0), x_star)
+    got = (f.kappa, f.lam, f.f_star, f.domain, f.x_star)
+    if got != want:
+        raise ParameterError(
+            f"f is not the {config.mode} objective of the config: "
+            f"(kappa, lam, f_star, domain, x_star) is {got}, expected {want}"
+        )
+    return f.x_star
 
 
 def _solve_convex(
-    config: ProtocolConfig, f: FunctionInstance, rng: RngStream, n_steps: int
+    config: ProtocolConfig, x_star: float, rng: RngStream, n_steps: int
 ) -> tuple[np.ndarray, int, float]:
-    """Epoch-doubling run of n_steps noisy gradient queries from a uniform start.
-
-    f is a make_uniformly_convex instance: its kappa, lam and x_star define
-    the gradient that the solver computes.  Returns the proposed points, the
-    gradients fed and the final estimate.
+    """Epoch-doubling run of n_steps noisy gradient queries from a uniform start
+    on the config's objective.  Returns the proposed points, the gradients fed
+    and the final estimate.
     """
-    if isinstance(f.kappa, str):
-        raise ParameterError(
-            f"the convex solver needs a uniformly convex instance, got kappa={f.kappa!r}"
-        )
     x_init = float(rng.child(_STREAM_INIT).generator().uniform(0.0, 1.0))
     schedule = epoch_schedule(
         config.kappa, config.lam, config.delta, config.W, n_steps, config.overrides
     )
-    noise = _gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
-    return epoch_gd_solve(schedule, x_init, noise, kappa=f.kappa, lam=f.lam, x_star=f.x_star)
+    noise = gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
+    return epoch_gd_solve(
+        schedule, x_init, noise, kappa=float(config.kappa), lam=float(config.lam), x_star=x_star
+    )
 
 
 def _replicated_transcript(
@@ -395,7 +399,7 @@ def _replicated_transcript(
     )
 
 
-def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+def _run_convex(config: ProtocolConfig, x_star: float, rng: RngStream) -> Transcript:
     """Replicated epoch-doubling run under the Gaussian first-order oracle.
 
     Each of the K = floor(T/S) phases queries one offset mirrored across all S
@@ -403,15 +407,20 @@ def run_secure_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStrea
     are never consumed by the learner, so they are not sampled).  The initial
     solver point is drawn uniformly and is not itself submitted as a query.
     """
-    config.validate()
-    if config.mode != "ConvexEpochGD":
-        raise ParameterError(f"run_secure_convex requires ConvexEpochGD mode, got {config.mode}")
-    xbars, fed, x_hat = _solve_convex(config, f, rng, config.phases)
-    homes = _home_index(xbars, config.subintervals)
+    xbars, fed, x_hat = _solve_convex(config, x_star, rng, config.phases)
+    homes = _cell_index(xbars, config.subintervals)
     return _replicated_transcript(
         config, rng, xbars - (homes - 1) * config.cell_width, homes,
         x_hat=x_hat, effective_gradients=fed,
     )
+
+
+def _halvings(eps: float, width: float) -> int:
+    """Smallest k with eps * 2^k >= width; ldexp is exact, a rounded log2 is not."""
+    k = 0
+    while math.ldexp(eps, k) < width:
+        k += 1
+    return k
 
 
 def majority_repetitions(p: float, eps: float, delta: float, width: float) -> int:
@@ -429,7 +438,7 @@ def majority_repetitions(p: float, eps: float, delta: float, width: float) -> in
     return m if m % 2 == 1 else m + 1
 
 
-def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
+def _run_bisection(config: ProtocolConfig, x_star: float, rng: RngStream) -> Transcript:
     """Replicated bisection inside the home subinterval, exact or noisy signs.
 
     The candidate interval starts as the subinterval containing the optimizer
@@ -438,27 +447,18 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
     repeated phases in NoisyBisection mode.  It makes the k decisions that
     bring the width 1/S down to eps, or fewer if the phase budget K runs out.
     """
-    config.validate()
-    if config.mode not in ("Bisection", "NoisyBisection"):
-        raise ParameterError(f"run_secure_bisection requires a bisection mode, got {config.mode}")
     n_phases_max = config.phases
     width = config.cell_width
     noisy = config.mode == "NoisyBisection"
-
-    home = subinterval_index(float(f.x_star), config.delta_adv)
-
+    home = subinterval_index(x_star, config.delta_adv)
     noise_gen = rng.child(_STREAM_NOISE).generator()
     base = (home - 1) * width
     lo = base
     hi = min(home * width, 1.0)
     reps = majority_repetitions(config.p, config.eps, config.delta, width) if noisy else 1
-    # smallest k with eps * 2^k >= width; ldexp is exact, a rounded hi - lo is not
-    halvings = 0
-    while math.ldexp(config.eps, halvings) < width:
-        halvings += 1
 
     offsets: list[float] = []
-    for _ in range(halvings):
+    for _ in range(_halvings(config.eps, width)):
         # a round cut short by the budget applies a best-effort majority
         this_round = min(reps, n_phases_max - len(offsets))
         if this_round == 0:
@@ -466,9 +466,9 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
         mid = 0.5 * (lo + hi)
         offsets += [mid - base] * this_round
         if noisy:
-            votes = int(noisy_sign_oracle(f, mid, config.p, noise_gen, this_round).sum())
+            votes = int(noisy_sign_oracle(x_star, mid, config.p, noise_gen, this_round).sum())
         else:
-            votes = sign_oracle(f, mid)
+            votes = sign_oracle(x_star, mid)
         if votes >= 0:
             hi = mid
         else:
@@ -485,15 +485,18 @@ def run_secure_bisection(config: ProtocolConfig, f: FunctionInstance, rng: RngSt
 def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
     """Non-replicated control: every query is the solver's own next point.
 
-    Leaks the query trajectory; used as the negative control in privacy tests.
+    ConvexEpochGD only, on the config's objective (see run_protocol).  Leaks
+    the query trajectory; used as the negative control in privacy tests.
     """
-    config.validate()
+    if config.mode != "ConvexEpochGD":
+        raise ParameterError(f"the plain control runs in ConvexEpochGD mode, got {config.mode!r}")
+    x_star = _objective_x_star(config, f)
     t_budget = config.T
     s_count = config.subintervals
-    points, fed, x_hat = _solve_convex(config, f, rng, t_budget)
+    points, fed, x_hat = _solve_convex(config, x_star, rng, t_budget)
     return Transcript(
         points=points, phase=np.arange(1, t_budget + 1, dtype=np.int64),
-        sub=_home_index(points, s_count),
+        sub=_cell_index(points, s_count),
         informative=np.ones(t_budget, dtype=bool),
         x_hat=x_hat, effective_gradients=fed,
         config_hash=config.config_hash(), mode="PlainEpochGD", s_count=s_count,
@@ -501,7 +504,10 @@ def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream
 
 
 def run_protocol(config: ProtocolConfig, f: FunctionInstance, rng: RngStream) -> Transcript:
-    """Dispatch on config.mode."""
+    """Dispatch on config.mode.  f must be the config's objective, else
+    ParameterError: make_uniformly_convex(config.kappa, config.lam, x) in
+    ConvexEpochGD, make_abs(x) in the bisection modes, x = config.x_star if set."""
+    x_star = _objective_x_star(config, f)
     if config.mode == "ConvexEpochGD":
-        return run_secure_convex(config, f, rng)
-    return run_secure_bisection(config, f, rng)
+        return _run_convex(config, x_star, rng)
+    return _run_bisection(config, x_star, rng)

@@ -33,7 +33,6 @@ from secopt import (
     run_batch,
     run_plain_convex,
     run_protocol,
-    run_secure_convex,
     sample_x_star,
     subinterval_index,
     sweep_budget,
@@ -61,7 +60,7 @@ def test_criterion_1_replicated_schedule_structure() -> None:
         t0 = time.perf_counter()
         config = ProtocolConfig(T=6000, overrides={"C0": 2.0})
         f = make_uniformly_convex(2.0, 1.0, 0.42)
-        tr = run_secure_convex(config, f, RngStream(MASTER, (1,)))
+        tr = run_protocol(config, f, RngStream(MASTER, (1,)))
         k, s = config.phases, config.subintervals
         rows = np.sort(tr.points.reshape(k, s), axis=1)
         lattice = rows[:, :1] + config.delta_adv * np.arange(s)

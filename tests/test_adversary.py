@@ -14,7 +14,7 @@ from secopt import (
     packing_ball_sample,
     posterior_interval_adversary,
     proportional_sample,
-    run_secure_convex,
+    run_protocol,
     subinterval_index,
     uniform_naive,
 )
@@ -159,7 +159,7 @@ def test_uniform_naive_statistics() -> None:
 def test_proportional_on_real_transcript_is_uniform_over_subintervals() -> None:
     config = ProtocolConfig(T=4000, overrides={"C0": 2.0})
     f = make_uniformly_convex(2.0, 1.0, 0.42)
-    tr = run_secure_convex(config, f, RngStream(33, (0,)))
+    tr = run_protocol(config, f, RngStream(33, (0,)))
     public = tr.public_view()
     gen = np.random.default_rng(35)
     subs = [
@@ -222,6 +222,6 @@ def test_one_call_of_size_k_equals_k_single_draws(
 
 def test_block_draws_need_an_array_stream() -> None:
     config = ProtocolConfig(T=400, overrides={"C0": 2.0})
-    tr = run_secure_convex(config, make_uniformly_convex(2.0, 1.0, 0.42), RngStream(3, ()))
+    tr = run_protocol(config, make_uniformly_convex(2.0, 1.0, 0.42), RngStream(3, ()))
     with pytest.raises(TypeError):
         proportional_sample(tr.public_view(), np.random.default_rng(0), 5)

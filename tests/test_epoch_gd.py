@@ -15,7 +15,7 @@ from secopt import (
     epoch_schedule,
     make_uniformly_convex,
 )
-from secopt.protocol import _gradient_noise
+from secopt.oracles import gradient_noise
 
 
 def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:
@@ -24,7 +24,7 @@ def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:
     gen = stream.generator()
     x_init = float(gen.uniform(*f.domain))
     schedule = epoch_schedule(float(f.kappa), f.lam, delta, w, budget, overrides)
-    noise = _gradient_noise(gen, sigma, budget)
+    noise = gradient_noise(gen, sigma, budget)
     return epoch_gd_solve(schedule, x_init, noise, kappa=f.kappa, lam=f.lam, x_star=f.x_star)[2]
 
 

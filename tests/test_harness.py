@@ -158,6 +158,14 @@ def test_cli_invalid_parameters_exit_2(capsys) -> None:
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def test_cli_non_finite_values_exit_2(capsys) -> None:
+    # --kappa=.inf once gave NaN point errors, and delta_hat = 0 passed --check
+    for token in ("--kappa=.inf", "--lam=.inf", "--W=.inf", "--sigma=.inf"):
+        rc = cli_main(["run", "--seed", "1", "-N", "20", "--T=40000", token, "--check"])
+        assert rc == 2, token
+        assert "must be finite" in capsys.readouterr().err, token
+
+
 def test_cli_overrides_never_prefix_match_subcommand_flags() -> None:
     # --p once matched --point-band in sweep and --public in export-transcript
     parser = build_parser()

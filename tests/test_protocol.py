@@ -18,15 +18,17 @@ from secopt import (
     Transcript,
     epoch_gd_solve,
     epoch_schedule,
+    instance_for_trial,
     majority_repetitions,
     make_abs,
     make_uniformly_convex,
+    make_hard_pair,
     run_plain_convex,
     run_protocol,
-    run_secure_bisection,
-    run_secure_convex,
     subinterval_index,
 )
+from secopt.cli import load_config
+from secopt.cli import main as cli_main
 
 
 def test_subinterval_index_examples() -> None:
@@ -70,6 +72,14 @@ def test_config_validation() -> None:
         ).validate()
 
 
+def test_non_finite_fields_rejected() -> None:
+    # an infinite kappa or lam once ran to NaN errors, which --check counted as hits
+    for mode in MODES:
+        for name in ("kappa", "lam", "W", "sigma"):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                ProtocolConfig(mode=mode, **{name: math.inf}).validate()
+
+
 def test_config_hash_and_updates() -> None:
     a = ProtocolConfig(T=1000)
     b = a.with_updates(T=2000)
@@ -85,7 +95,7 @@ def test_config_hash_and_updates() -> None:
 def _convex_run(t: int = 6000, seed: int = 31) -> Transcript:
     config = ProtocolConfig(T=t, overrides={"C0": 2.0})
     f = make_uniformly_convex(2.0, 1.0, 0.42)
-    return run_secure_convex(config, f, RngStream(seed, (0,)))
+    return run_protocol(config, f, RngStream(seed, (0,)))
 
 
 def test_phase_structure_and_mirror_symmetry() -> None:
@@ -114,7 +124,7 @@ def test_transcript_matches_per_call_reference() -> None:
     # K = 60 phases fill the C0=2 schedule (4 + 8 + 16 + 32) exactly
     config = ProtocolConfig(T=600, overrides={"C0": 2.0})
     f = make_uniformly_convex(2.0, 1.0, 0.42)
-    tr = run_secure_convex(config, f, RngStream(5, (9,)))
+    tr = run_protocol(config, f, RngStream(5, (9,)))
 
     s_count, n = config.subintervals, config.phases
     rng = RngStream(5, (9,))
@@ -468,7 +478,7 @@ def test_bisection_exact_query_counts() -> None:
 
 def test_bisection_interval_width_halves() -> None:
     config = ProtocolConfig(T=40, mode="Bisection", eps=1e-6, sigma=0.0, x_star=0.73)
-    tr = run_secure_bisection(config, make_abs(0.73), RngStream(4, (0,)))
+    tr = run_protocol(config, make_abs(0.73), RngStream(4, (0,)))
     # only K=4 phases fit the budget: width 0.1 / 2^4, estimate inside it
     assert len(tr) == 40
     assert abs(tr.x_hat - 0.73) <= 0.1 / 2**4
@@ -569,13 +579,103 @@ def test_plain_control_leaks_every_query() -> None:
 
 
 def test_mode_mismatch_rejected() -> None:
-    config = ProtocolConfig(T=2000, mode="Bisection", sigma=0.0, x_star=0.5)
-    f = make_uniformly_convex(2.0, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        run_secure_convex(config, f, RngStream(1, (0,)))
-    with pytest.raises(ParameterError):
-        run_secure_bisection(config.with_updates(mode="ConvexEpochGD"), f, RngStream(1, (0,)))
-    # the solver computes the uniformly convex gradient from kappa, lam and x_star
-    for run in (run_secure_convex, run_plain_convex):
-        with pytest.raises(ParameterError, match="uniformly convex"):
-            run(config.with_updates(mode="ConvexEpochGD"), make_abs(0.5), RngStream(1, (0,)))
+    # the config defines the objective; an f that disagrees with it must not run
+    rng = RngStream(1, (0,))
+    convex = ProtocolConfig(T=2000)
+    bisection = ProtocolConfig(T=2000, mode="Bisection")
+    # kappa and lam: the schedule would use the config's, the gradient f's
+    with pytest.raises(ParameterError, match="not the ConvexEpochGD objective"):
+        run_protocol(convex, make_uniformly_convex(3.0, 5.0, 0.4), rng)
+    # a hard-pair member with the config's kappa, lam and domain is not the bowl
+    pair = make_hard_pair(c0=0.5, c1=0.2, c2=0.001, eps=0.05, center=0.5, domain=(0.0, 1.0))
+    member = pair.f1
+    assert (member.kappa, member.lam, member.domain) == (2.0, 1.0, (0.0, 1.0))
+    assert member.f_star > 0.0
+    for run in (run_protocol, run_plain_convex):
+        with pytest.raises(ParameterError, match="objective"):
+            run(convex, member, rng)
+    # a config.x_star that f does not share
+    with pytest.raises(ParameterError, match="objective"):
+        run_protocol(convex.with_updates(x_star=0.3), make_uniformly_convex(2.0, 1.0, 0.5), rng)
+    with pytest.raises(ParameterError, match="objective"):
+        run_protocol(bisection.with_updates(x_star=0.3), make_abs(0.5), rng)
+    # the plain control runs the uniformly convex objective only
+    for f in (make_uniformly_convex(2.0, 1.0, 0.5), make_abs(0.5)):
+        with pytest.raises(ParameterError, match="ConvexEpochGD mode"):
+            run_plain_convex(bisection, f, rng)
+    # one mode's objective under the other mode
+    with pytest.raises(ParameterError, match="not the Bisection objective"):
+        run_protocol(bisection, make_uniformly_convex(2.0, 1.0, 0.5), rng)
+    for run in (run_protocol, run_plain_convex):
+        with pytest.raises(ParameterError, match="not the ConvexEpochGD objective"):
+            run(convex, make_abs(0.5), rng)
+    # the matching objective runs, with an int kappa and lam as the CLI parses them
+    cli_config = ProtocolConfig(T=2000, kappa=2, lam=1, x_star=0.5)
+    assert run_protocol(cli_config, make_uniformly_convex(2.0, 1.0, 0.5), rng).x_hat >= 0.0
+
+
+def _cli_number(draw, low: float, high: float) -> str:
+    """A --key=value number in [low, high] as a user types it: an int, which
+    the CLI parses to int, or a float repr, which it parses to float."""
+    return draw(st.one_of(
+        st.integers(math.ceil(low), math.floor(high)).map(str),
+        st.floats(low, high).map(repr),
+    ))
+
+
+@st.composite
+def _accepted_cli_configs(draw) -> ProtocolConfig:
+    delta_adv = draw(st.floats(0.02, 0.49))
+    s_count = math.floor(1.0 / delta_adv)
+    tokens = [
+        f"--mode={draw(st.sampled_from(MODES))}",
+        f"--T={draw(st.integers(s_count, 5000))}",
+        f"--delta_adv={delta_adv!r}",
+        f"--eps_adv={delta_adv * draw(st.floats(0.01, 0.49))!r}",
+        f"--eps={min(delta_adv, 1.0 / s_count) * draw(st.floats(1e-4, 0.99))!r}",
+        f"--delta={draw(st.floats(0.001, 0.5))!r}",
+        f"--kappa={_cli_number(draw, 2, 50)}",
+        f"--lam={_cli_number(draw, 1e-3, 1e3)}",
+        f"--W={_cli_number(draw, 1e-3, 1e3)}",
+        f"--sigma={_cli_number(draw, 0, 1)}",
+        f"--p={draw(st.floats(0.55, 0.95))!r}",
+    ]
+    x_star = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    if x_star is not None:
+        tokens.append(f"--x_star={x_star!r}")
+    c0 = draw(st.one_of(st.none(), st.sampled_from([2, 2.5, 40])))
+    if c0 is not None:
+        tokens.append(f"--overrides.C0={c0}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 2*eps > eps_adv only weakens secrecy
+        return load_config(None, tokens)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(config=_accepted_cli_configs(), x=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_accepted_configs_run_in_every_mode(config, x, seed) -> None:
+    x_star = x if config.x_star is None else config.x_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tr = run_protocol(config, instance_for_trial(config, x_star), RngStream(seed, (0,)))
+    s = config.subintervals
+    assert 0 < len(tr) <= config.T and len(tr) % s == 0
+    assert 0.0 <= tr.x_hat <= 1.0
+    assert tr.config_hash == config.config_hash() and tr.mode == config.mode
+
+
+def test_export_transcript_matches_the_perfbench_round_trip_call(tmp_path) -> None:
+    # the call shape of the benchmark's transcript_replay check: a trial-0
+    # stream and the instance instance_for_trial builds for the config's x*
+    path = tmp_path / "t.txt"
+    argv = ["export-transcript", "--seed", "3", "--trial", "0", "--T=20000", "--x_star=0.4"]
+    assert cli_main([*argv, "--out", str(path)]) == 0
+    config = load_config(None, ["--T=20000", "--x_star=0.4"])
+    original = run_protocol(
+        config, instance_for_trial(config, 0.4), RngStream(3, (0,)).child(0)
+    )
+    with open(path) as fh:
+        parsed = Transcript.from_text(fh)
+    for name in ("points", "phase", "sub", "informative"):
+        want, got = getattr(original, name), getattr(parsed, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
