@@ -427,12 +427,13 @@ def majority_repetitions(p: float, eps: float, delta: float, width: float) -> in
     """Votes per bisection decision so all majorities are right w.p. >= 1-delta
     while an interval of the given width is halved down to eps.
 
-    Hoeffding sizing m >= ln(2*log2(width/eps)/delta) / (2*(p-1/2)^2),
-    bumped to the next odd integer so a majority vote cannot tie.
+    Hoeffding sizing m >= ln(2*k/delta) / (2*(p-1/2)^2) over the k decisions
+    the bisection makes, bumped to the next odd integer so a majority vote
+    cannot tie.
     """
     if not 0.5 < p < 1.0:
         raise ParameterError(f"p must lie in (0.5, 1), got {p}")
-    halvings = max(math.log2(width / eps), 1.0)
+    halvings = max(_halvings(eps, width), 1)
     m = math.ceil(math.log(2.0 * halvings / delta) / (2.0 * (p - 0.5) ** 2))
     m = max(m, 1)
     return m if m % 2 == 1 else m + 1

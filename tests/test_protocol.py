@@ -547,9 +547,12 @@ def test_exact_bisection_count_is_s_times_halvings(
 def test_majority_repetitions_sizing() -> None:
     m = majority_repetitions(0.75, 1e-3, 0.05, 0.1)
     assert m % 2 == 1
-    halvings = math.log2(0.1 / 1e-3)
+    # the union bound covers the 7 decisions the bisection makes: 0.1 / 2^7 <= 1e-3
+    halvings = math.ceil(math.log2(0.1 / 1e-3))
+    assert halvings == 7
     raw = math.ceil(math.log(2.0 * halvings / 0.05) / (2.0 * 0.25**2))
     assert m in (raw, raw + 1)
+    assert m == 47
     assert majority_repetitions(0.9, 1e-3, 0.05, 0.1) < m  # easier oracle, fewer votes
     with pytest.raises(ParameterError):
         majority_repetitions(0.5, 1e-3, 0.05, 0.1)
