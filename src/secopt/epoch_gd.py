@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from array import array
 from collections.abc import Sequence
 from itertools import islice, repeat
@@ -55,7 +56,7 @@ def check_overrides(overrides: object) -> None:
         raise ParameterError(f"unknown constant overrides: {sorted(unknown)}")
     for key, value in overrides.items():
         is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (is_number and math.isfinite(value) and value > 0.0):
+        if not (is_number and 0.0 < value <= sys.float_info.max):
             raise ParameterError(f"constant override {key}={value!r} must be a finite number > 0")
 
 

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -124,7 +125,8 @@ class ProtocolConfig:
         if not self.sigma >= 0.0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
         for name in ("kappa", "lam", "W", "sigma"):
-            if not math.isfinite(getattr(self, name)):
+            # in a float's range: no inf, no nan, no int too large for a float
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.5 < self.p < 1.0:
             raise ParameterError(f"p must lie in (0.5, 1), got {self.p}")
@@ -379,9 +381,7 @@ def _solve_convex(
         config.kappa, config.lam, config.delta, config.W, n_steps, config.overrides
     )
     noise = gradient_noise(rng.child(_STREAM_NOISE).generator(), config.sigma, n_steps)
-    return epoch_gd_solve(
-        schedule, x_init, noise, kappa=float(config.kappa), lam=float(config.lam), x_star=x_star
-    )
+    return epoch_gd_solve(schedule, x_init, noise, kappa=config.kappa, lam=config.lam, x_star=x_star)
 
 
 def _replicated_transcript(

@@ -38,8 +38,7 @@ def test_cli_run_csv_digest(tmp_path) -> None:
 
 def test_bisection_batch_csv_digests() -> None:
     expected = {
-        # re-pinned when majority_repetitions began counting the ceil(log2(width/eps))
-        # decisions the bisection makes, not log2(width/eps): 47 votes at p=0.75, not 45
+        # 47 votes per decision: the union bound covers all ceil(log2(0.1/1e-3)) = 7
         "NoisyBisection": "d5633d0257ba6e9364af4040ec457dc10bf74f6809449f31486314e4ad97ddfc",
         "Bisection": "87318486a4db45b30abd9f647800d8af344ccb26137d804527ff9ec82f70dd46",
     }

@@ -160,10 +160,14 @@ def test_cli_invalid_parameters_exit_2(capsys) -> None:
 
 def test_cli_non_finite_values_exit_2(capsys) -> None:
     # --kappa=.inf once gave NaN point errors, and delta_hat = 0 passed --check
-    for token in ("--kappa=.inf", "--lam=.inf", "--W=.inf", "--sigma=.inf"):
+    huge = "1" + "0" * 400  # an int that no float holds
+    for token in (
+        "--kappa=.inf", "--lam=.inf", "--W=.inf", "--sigma=.inf",
+        f"--lam={huge}", f"--overrides.C0={huge}",
+    ):
         rc = cli_main(["run", "--seed", "1", "-N", "20", "--T=40000", token, "--check"])
         assert rc == 2, token
-        assert "must be finite" in capsys.readouterr().err, token
+        assert "finite" in capsys.readouterr().err, token
 
 
 def test_cli_overrides_never_prefix_match_subcommand_flags() -> None:

@@ -74,10 +74,14 @@ def test_config_validation() -> None:
 
 def test_non_finite_fields_rejected() -> None:
     # an infinite kappa or lam once ran to NaN errors, which --check counted as hits
+    # an int too large for a float once raised OverflowError in the run
     for mode in MODES:
         for name in ("kappa", "lam", "W", "sigma"):
-            with pytest.raises(ParameterError, match=f"{name} must be finite"):
-                ProtocolConfig(mode=mode, **{name: math.inf}).validate()
+            for value in (math.inf, 10**400):
+                with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                    ProtocolConfig(mode=mode, **{name: value}).validate()
+    with pytest.raises(ParameterError, match="finite number"):
+        ProtocolConfig(overrides={"C0": 10**400}).validate()
 
 
 def test_config_hash_and_updates() -> None:
