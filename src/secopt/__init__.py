@@ -8,7 +8,6 @@ effective sample budget.
 from .adversary import (
     ADVERSARY_ORDER,
     AdversaryEstimate,
-    adversary_guesses,
     default_packing_centers,
     packing_ball_sample,
     posterior_interval_adversary,
@@ -99,7 +98,6 @@ __all__ = [
     "SweepResult",
     "Transcript",
     "TrialOutcome",
-    "adversary_guesses",
     "binary_entropy",
     "c_of_p",
     "default_constants",

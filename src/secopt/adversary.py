@@ -15,8 +15,8 @@ at a time or as a block.  Guessing k points at once needs an array stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

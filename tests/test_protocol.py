@@ -21,8 +21,8 @@ from secopt import (
     instance_for_trial,
     majority_repetitions,
     make_abs,
-    make_uniformly_convex,
     make_hard_pair,
+    make_uniformly_convex,
     run_plain_convex,
     run_protocol,
     subinterval_index,
