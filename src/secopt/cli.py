@@ -241,16 +241,19 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
     if len(public) == 0:
         raise ParameterError("transcript has no queries")
     s_count = args.s_count if args.s_count is not None else transcript.s_count
+    eps_adv = args.eps_adv if args.eps_adv is not None else transcript.eps_adv
+    if eps_adv is None:
+        eps_adv = ProtocolConfig.eps_adv
     stream = RngStream(args.seed, ())
     n = args.samples
     # all samples in one call: the same guesses as n single draws
     estimates = adversary_guesses(
-        public, s_count, args.eps_adv,
+        public, s_count, eps_adv,
         [stream.child(i).generator() for i in range(len(ADVERSARY_ORDER))], n,
     )
     print("strategy,successes,samples,success_rate")
     for name, estimate in estimates.items():
-        hits = int((abs(estimate.point - args.x_star) <= args.eps_adv).sum())
+        hits = int((abs(estimate.point - args.x_star) <= eps_adv).sum())
         print(f"{name},{hits},{n},{hits / n!r}")
     return 0
 
@@ -318,8 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_adv.add_argument("--transcript", required=True, help="transcript file path")
     p_adv.add_argument("--x-star", type=float, required=True, dest="x_star")
-    p_adv.add_argument("--eps-adv", type=float, default=0.04, dest="eps_adv")
-    p_adv.add_argument("--s-count", type=int, default=None, dest="s_count")
+    p_adv.add_argument(
+        "--eps-adv", type=float, default=None, dest="eps_adv",
+        help="default: the transcript header's eps_adv, else 0.04",
+    )
+    p_adv.add_argument(
+        "--s-count", type=int, default=None, dest="s_count",
+        help="default: the transcript header's s, else the largest subinterval code",
+    )
     p_adv.add_argument("--samples", type=int, default=1000)
     p_adv.add_argument("--seed", type=int, required=True)
     p_adv.set_defaults(func=cmd_adversary_eval)

@@ -38,9 +38,16 @@ _ROW_FIELDS = [
     ("t", np.int64), ("points", np.float64), ("phase", np.int64),
     ("sub", np.int64), ("informative", np.int64),
 ]
-_HEADER_KEYS = {"config", "mode", "public"}
-# rows formatted per write_text block: bounds the text held at once to a few MB
-_TEXT_BLOCK_ROWS = 65_536
+# the query arrays of a transcript, in row order
+_COLUMNS = (("points", np.float64), ("phase", np.int64), ("sub", np.int64), ("informative", bool))
+# version 1 headers carry only config, mode and public
+_FORMAT_VERSION = "2"
+_HEADER_KEYS = ("version", "config", "mode", "public", "rows", "s", "eps_adv")
+# rows built, written or parsed per block: bounds what text I/O holds beyond
+# the columns themselves to a few MB
+_TEXT_BLOCK_ROWS = 16_384
+# the lines of a str, broken where a file read in universal-newline mode breaks them
+_LINE = re.compile(r"[^\r\n]+")
 
 
 def subinterval_index(x: float, delta_adv: float) -> int:
@@ -158,8 +165,9 @@ class Transcript:
     offsets, the home cell of each phase (or one for the whole run), S, the
     cell width and the order stream.  The query arrays points (float64), phase
     and sub (int64) and informative (bool) are built from these on first
-    access, by the one (K, S) order draw, and cached.  A parsed or plain
-    transcript is given the four arrays instead.
+    access, block by block (see _row_blocks), and cached; write_text formats
+    the same blocks without building them.  A parsed or plain transcript is
+    given the four arrays instead.
 
     The adversary-facing projection is public_view(): query points only.
     """
@@ -171,16 +179,18 @@ class Transcript:
 
     def __init__(
         self, *, x_hat: float, effective_gradients: int, config_hash: str, mode: str,
-        s_count: int, points: np.ndarray | None = None, phase: np.ndarray | None = None,
-        sub: np.ndarray | None = None, informative: np.ndarray | None = None,
-        offsets: np.ndarray | None = None, homes: np.ndarray | None = None,
-        cell_width: float = 0.0, order_stream: RngStream | None = None,
+        s_count: int, eps_adv: float | None = None, points: np.ndarray | None = None,
+        phase: np.ndarray | None = None, sub: np.ndarray | None = None,
+        informative: np.ndarray | None = None, offsets: np.ndarray | None = None,
+        homes: np.ndarray | None = None, cell_width: float = 0.0,
+        order_stream: RngStream | None = None,
     ) -> None:
         self.x_hat = x_hat
         self.effective_gradients = effective_gradients
         self.config_hash = config_hash
         self.mode = mode
         self.s_count = s_count
+        self.eps_adv = eps_adv  # None when unknown, as in a version 1 file
         self.offsets, self.homes = offsets, homes
         self.cell_width, self.order_stream = cell_width, order_stream
         self._arrays = None if offsets is not None else {
@@ -189,21 +199,47 @@ class Transcript:
 
     def _query_arrays(self) -> dict[str, np.ndarray]:
         if self._arrays is None:
-            n_phases = self.offsets.size
-            orders = _draw_sub_orders(self.order_stream.generator(), n_phases, self.s_count)
-            # homes is one cell per phase, or a 0-d array for the whole run
-            informative = orders == (self.homes - 1)[..., None]
-            # in place, so no K*S temporaries are made beyond the random block
-            points = orders * self.cell_width
-            points += self.offsets[:, None]
-            orders += 1
-            self._arrays = {
-                "points": points.ravel(),
-                "phase": np.repeat(np.arange(1, n_phases + 1, dtype=np.int64), self.s_count),
-                "sub": orders.astype(np.int64, copy=False).ravel(),
-                "informative": informative.ravel(),
-            }
+            n = len(self)
+            arrays = {name: np.empty(n, dtype) for name, dtype in _COLUMNS}
+            for lo, block in self._row_blocks():
+                for (name, _), column in zip(_COLUMNS, block):
+                    arrays[name][lo:lo + column.size] = column
+            self._arrays = arrays
         return self._arrays
+
+    def _row_blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
+        """The query columns in consecutive blocks of _TEXT_BLOCK_ROWS rows, each
+        with the index of its first row.
+
+        A factored transcript builds each block from offsets, homes and the order
+        stream.  Consecutive draws give the rows of the one (K, S) block draw, so
+        a phase that a block cuts keeps its order row for the next block, and no
+        array of K*S rows is made.
+        """
+        n, s, step = len(self), self.s_count, _TEXT_BLOCK_ROWS
+        if self._arrays is not None:
+            for lo in range(0, n, step):
+                yield lo, [self._arrays[name][lo:lo + step] for name, _ in _COLUMNS]
+            return
+        gen = self.order_stream.generator()
+        # homes is one cell per phase, or a 0-d array for the whole run
+        homes = np.broadcast_to(self.homes, self.offsets.shape)
+        carried = np.empty((0, s), dtype=np.intp)  # the order row of a cut phase
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            first, stop = lo // s, -(-hi // s)  # the phases this block touches
+            orders = np.concatenate(
+                [carried, _draw_sub_orders(gen, stop - first - len(carried), s)]
+            )
+            carried = orders[-1:] if hi % s else orders[:0]
+            points = orders * self.cell_width + self.offsets[first:stop, None]
+            rows = slice(lo - first * s, hi - first * s)
+            yield lo, [
+                points.ravel()[rows],
+                np.repeat(np.arange(first + 1, stop + 1, dtype=np.int64), s)[rows],
+                (orders + 1).ravel()[rows],
+                (orders == (homes[first:stop] - 1)[:, None]).ravel()[rows],
+            ]
 
     def __len__(self) -> int:
         if self._arrays is None:
@@ -220,21 +256,22 @@ class Transcript:
         return view
 
     def _text_blocks(self, public: bool) -> Iterator[str]:
-        """The header line, then blocks of at most _TEXT_BLOCK_ROWS rows."""
-        yield (
-            f"# secopt-transcript config={self.config_hash} mode={self.mode} "
-            f"public={int(public)}\n"
-        )
-        columns = [self.points, self.phase, self.sub]
-        fmt = "%d,%r,%d,%d\n"  # %r of a Python float is its shortest round-trip repr
-        if not public:
-            columns.append(self.informative)
-            fmt = "%d,%r,%d,%d,%d\n"
-        n = len(self)
-        for lo in range(0, n, _TEXT_BLOCK_ROWS):
-            hi = min(lo + _TEXT_BLOCK_ROWS, n)
-            rows = zip(range(lo + 1, hi + 1), *(col[lo:hi].tolist() for col in columns))
-            yield (fmt * (hi - lo)) % tuple(itertools.chain.from_iterable(rows))
+        """The header line, then the rows of each _row_blocks block."""
+        header = {
+            "version": _FORMAT_VERSION, "config": self.config_hash, "mode": self.mode,
+            "public": int(public), "rows": len(self), "s": self.s_count,
+        }
+        if self.eps_adv is not None:
+            header["eps_adv"] = repr(float(self.eps_adv))
+        yield " ".join(["# secopt-transcript", *(f"{k}={v}" for k, v in header.items())]) + "\n"
+        # %r of a Python float is its shortest round-trip repr
+        fmt = "%d,%r,%d,%d\n" if public else "%d,%r,%d,%d,%d\n"
+        for lo, columns in self._row_blocks():
+            if public:
+                columns = columns[:3]
+            m = columns[0].size
+            rows = zip(range(lo + 1, lo + m + 1), *(col.tolist() for col in columns))
+            yield (fmt * m) % tuple(itertools.chain.from_iterable(rows))
 
     def write_text(self, fh: TextIO, public: bool = False) -> None:
         """Write to_text(public) to fh one block at a time."""
@@ -246,62 +283,122 @@ class Transcript:
 
     @classmethod
     def from_text(cls, source: str | Iterable[str]) -> "Transcript":
-        """Parse to_text output from a str or an open text file.  A file is read
-        line by line and never held whole; blank lines are skipped."""
-        # a str breaks lines where a file read in universal-newline mode does
-        lines = re.split(r"\r\n?|\n", source) if isinstance(source, str) else source
+        """Parse to_text output from a str or an open text file; blank lines are
+        skipped.  Rows are parsed _TEXT_BLOCK_ROWS non-blank lines at a time into
+        columns preallocated from the header's row count, which a header
+        without one grows block by block.  A file is read line by line and
+        never held whole."""
+        lines = (m.group() for m in _LINE.finditer(source)) if isinstance(source, str) else source
         nonblank = filter(str.strip, lines)
-        head = next(nonblank, "").rstrip("\r\n")
-        if not head.startswith("# secopt-transcript"):
-            raise ParameterError("not a transcript: missing header line")
-        tokens = head.split()[2:]
-        try:
-            header = dict(tok.split("=", 1) for tok in tokens)
-        except ValueError:
-            raise ParameterError(f"malformed transcript header {head!r}") from None
-        if len(header) != len(tokens) or not set(header) <= _HEADER_KEYS:
-            raise ParameterError(
-                f"malformed transcript header {head!r}: "
-                f"keys must be distinct and among {sorted(_HEADER_KEYS)}"
-            )
-        if header.get("public", "0") not in ("0", "1"):
-            raise ParameterError(f"transcript header public={header['public']!r} is not 0 or 1")
-        public = header.get("public") == "1"
+        header = _parse_header(next(nonblank, "").rstrip("\r\n"))
+        public, expected, s_count = header["public"], header["rows"], header["s"]
         row_dtype = np.dtype(_ROW_FIELDS[:4] if public else _ROW_FIELDS)
-        first = next(nonblank, None)
-        if first is not None:
-            try:
-                rows = np.loadtxt(
-                    itertools.chain([first], nonblank), dtype=row_dtype, delimiter=",",
-                    comments=None, ndmin=1,
-                )
-            except ValueError as exc:
-                # numpy's message names the row and column; its usecols hint does not apply
-                reason = str(exc).split(";")[0]
+        capacity = _TEXT_BLOCK_ROWS if expected is None else expected
+        try:
+            columns = {
+                name: np.empty(capacity, dtype)
+                for name, dtype in (_COLUMNS[:3] if public else _COLUMNS)
+            }
+        except MemoryError:
+            raise ParameterError(f"transcript header rows={expected} is too large") from None
+        n = 0
+        while block := list(itertools.islice(nonblank, _TEXT_BLOCK_ROWS)):
+            rows = _parse_rows(block, row_dtype, n, s_count)
+            n += rows.size
+            if expected is not None and n > expected:
                 raise ParameterError(
-                    f"malformed transcript data, expected {len(row_dtype)} "
-                    f"comma-separated numbers per row: {reason}"
-                ) from None
-        else:
-            rows = np.empty(0, dtype=row_dtype)
-        n = rows.size
-        if not np.array_equal(rows["t"], np.arange(1, n + 1)):
-            raise ParameterError("malformed transcript data: rows must be numbered 1..n in order")
+                    f"malformed transcript data: more rows than the header's rows={expected}"
+                )
+            if n > capacity:
+                capacity = max(2 * capacity, n)
+                for column in columns.values():
+                    column.resize(capacity, refcheck=False)  # no view of it exists yet
+            for name, column in columns.items():
+                column[n - rows.size:n] = rows[name]
+        if expected is not None and n != expected:
+            raise ParameterError(
+                f"malformed transcript data: {n} rows, the header says rows={expected}"
+            )
+        for column in columns.values():
+            column.resize(n, refcheck=False)
         if public:
-            informative = np.zeros(n, dtype=bool)
-        else:
-            flags = rows["informative"]
-            if not np.all((flags == 0) | (flags == 1)):
-                raise ParameterError("malformed transcript data: informative must be 0 or 1")
-            informative = flags.astype(bool)
-        # column views, not copies: copying would hold the columns twice at once
-        sub = rows["sub"]
+            columns["informative"] = np.zeros(n, dtype=bool)
+        if s_count is None:  # a version 1 header: S is the largest subinterval code
+            s_count = int(columns["sub"].max()) if n else 0
         return cls(
-            points=rows["points"], phase=rows["phase"], sub=sub, informative=informative,
-            x_hat=math.nan, effective_gradients=int(informative.sum()),
-            config_hash=header.get("config", ""), mode=header.get("mode", ""),
-            s_count=int(sub.max()) if n else 0,
+            **columns, x_hat=math.nan,
+            effective_gradients=int(columns["informative"].sum()),
+            config_hash=header["config"], mode=header["mode"], s_count=s_count,
+            eps_adv=header["eps_adv"],
         )
+
+
+def _parse_header(head: str) -> dict[str, Any]:
+    """The fields of a transcript header line; those a version 1 header lacks
+    are None."""
+    if not head.startswith("# secopt-transcript"):
+        raise ParameterError("not a transcript: missing header line")
+    tokens = head.split()[2:]
+    try:
+        header = dict(tok.split("=", 1) for tok in tokens)
+    except ValueError:
+        raise ParameterError(f"malformed transcript header {head!r}") from None
+    if len(header) != len(tokens) or not set(header) <= set(_HEADER_KEYS):
+        raise ParameterError(
+            f"malformed transcript header {head!r}: "
+            f"keys must be distinct and among {sorted(_HEADER_KEYS)}"
+        )
+    if header.get("version", _FORMAT_VERSION) != _FORMAT_VERSION:
+        raise ParameterError(
+            f"transcript format version {header['version']!r} is not {_FORMAT_VERSION}"
+        )
+    if header.get("public", "0") not in ("0", "1"):
+        raise ParameterError(f"transcript header public={header['public']!r} is not 0 or 1")
+    fields: dict[str, Any] = {
+        "config": header.get("config", ""), "mode": header.get("mode", ""),
+        "public": header.get("public") == "1",
+    }
+    for key in ("rows", "s"):
+        value = header.get(key)
+        if value is not None and not re.fullmatch("[0-9]+", value):
+            raise ParameterError(f"transcript header {key}={value!r} is not a count")
+        fields[key] = None if value is None else int(value)
+    fields["eps_adv"] = None
+    if "eps_adv" in header:
+        try:
+            fields["eps_adv"] = float(header["eps_adv"])
+        except ValueError:
+            pass
+        if not 0.0 < (fields["eps_adv"] or 0.0) < math.inf:
+            raise ParameterError(
+                f"transcript header eps_adv={header['eps_adv']!r} is not a positive number"
+            )
+    return fields
+
+
+def _parse_rows(
+    block: list[str], row_dtype: np.dtype, first: int, s_count: int | None
+) -> np.ndarray:
+    """One block of data lines as a row array, numbered from first + 1; the
+    informative flags must be 0 or 1, and sub in 1..S when S is known."""
+    try:
+        rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        # numpy's message names the row within the block; its usecols hint does not apply
+        reason = str(exc).split(";")[0]
+        raise ParameterError(
+            f"malformed transcript data in rows {first + 1}..{first + len(block)}, expected "
+            f"{len(row_dtype)} comma-separated numbers per row: {reason}"
+        ) from None
+    if not np.array_equal(rows["t"], np.arange(first + 1, first + rows.size + 1)):
+        raise ParameterError("malformed transcript data: rows must be numbered 1..n in order")
+    if "informative" in row_dtype.names:
+        flags = rows["informative"]
+        if not np.all((flags == 0) | (flags == 1)):
+            raise ParameterError("malformed transcript data: informative must be 0 or 1")
+    if s_count is not None and not np.all((rows["sub"] >= 1) & (rows["sub"] <= s_count)):
+        raise ParameterError(f"malformed transcript data: sub must lie in 1..s={s_count}")
+    return rows
 
 
 def _draw_sub_orders(gen: np.random.Generator, n_phases: int, s_count: int) -> np.ndarray:
@@ -393,9 +490,8 @@ def _replicated_transcript(
     (or homes, if 0-d) is informative."""
     return Transcript(
         offsets=offsets, homes=homes, cell_width=config.cell_width,
-        order_stream=rng.child(_STREAM_PERM),
-        config_hash=config.config_hash(), mode=config.mode, s_count=config.subintervals,
-        **summary,
+        order_stream=rng.child(_STREAM_PERM), config_hash=config.config_hash(),
+        mode=config.mode, s_count=config.subintervals, eps_adv=config.eps_adv, **summary,
     )
 
 
@@ -442,8 +538,8 @@ def majority_repetitions(p: float, eps: float, delta: float, width: float) -> in
 def _run_bisection(config: ProtocolConfig, x_star: float, rng: RngStream) -> Transcript:
     """Replicated bisection inside the home subinterval, exact or noisy signs.
 
-    The candidate interval starts as the subinterval containing the optimizer
-    (coarse localization is modeled as free; see the decisions ledger) and is
+    The candidate interval starts as the subinterval containing the optimizer:
+    coarse localization is modeled as free, no query pays for it.  It is
     halved by the home sign response each phase -- by the majority over m
     repeated phases in NoisyBisection mode.  It makes the k decisions that
     bring the width 1/S down to eps, or fewer if the phase budget K runs out.
@@ -501,6 +597,7 @@ def run_plain_convex(config: ProtocolConfig, f: FunctionInstance, rng: RngStream
         informative=np.ones(t_budget, dtype=bool),
         x_hat=x_hat, effective_gradients=fed,
         config_hash=config.config_hash(), mode="PlainEpochGD", s_count=s_count,
+        eps_adv=config.eps_adv,
     )
 
 

@@ -404,3 +404,39 @@ def test_cli_export_then_adversary_eval(tmp_path, capsys) -> None:
         "--seed", "9", "--eps", "0.01",
     ])
     assert rc == 2
+
+
+def test_cli_adversary_eval_scores_at_the_runs_eps_adv(tmp_path, capsys) -> None:
+    path = tmp_path / "transcript.txt"
+    argv = ["export-transcript", "--seed", "3", "--out", str(path), "--T=20000", "--x_star=0.4"]
+    assert cli_main([*argv, "--eps_adv=0.02"]) == 0
+
+    def evaluate(*flags: str) -> str:
+        capsys.readouterr()
+        assert cli_main([
+            "adversary-eval", "--transcript", str(path), "--x-star", "0.4",
+            "--seed", "9", "--samples", "2000", *flags,
+        ]) == 0
+        return capsys.readouterr().out
+
+    assert evaluate() == evaluate("--eps-adv", "0.02") != evaluate("--eps-adv", "0.04")
+    # a version 1 header carries no eps_adv: scored at the old default
+    head, _, rows = path.read_text().partition("\n")
+    kept = [tok for tok in head.split() if tok.split("=")[0] in ("config", "mode", "public")]
+    path.write_text(" ".join(["# secopt-transcript", *kept]) + "\n" + rows)
+    assert evaluate() == evaluate("--eps-adv", "0.04")
+
+
+def test_cli_public_export_writes_no_seed_or_stream_key(capsys) -> None:
+    # child streams share their parent's seed and key prefix: either would
+    # reveal the init, noise and x* streams, the learner's whole trajectory
+    seed, trial = 987654321, 424242
+    argv = ["export-transcript", "--seed", str(seed), "--trial", str(trial), "--T=2000"]
+    assert cli_main([*argv, "--public"]) == 0
+    text = capsys.readouterr().out
+    head = text.partition("\n")[0]
+    fields = dict(tok.split("=", 1) for tok in head.split()[2:])
+    assert sorted(fields) == ["config", "eps_adv", "mode", "public", "rows", "s", "version"]
+    for secret in (str(seed), hex(seed)[2:], str(trial)):
+        assert secret not in head
+    assert str(seed) not in text

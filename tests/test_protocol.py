@@ -1,11 +1,13 @@
 """Replicated query protocol: schedule symmetry, determinism, bisection counts, text I/O."""
+import io
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from secopt import (
@@ -29,6 +31,7 @@ from secopt import (
 )
 from secopt.cli import load_config
 from secopt.cli import main as cli_main
+from secopt.protocol import PublicView
 
 
 def test_subinterval_index_examples() -> None:
@@ -189,20 +192,69 @@ def test_transcript_round_trip() -> None:
         Transcript.from_text("not a transcript\n1,2,3\n")
 
 
-def test_from_text_columns_are_views_of_the_parsed_rows() -> None:
-    # the parsed columns share the one row array, so parsing holds no second copy
-    tr = _convex_run(t=800)
+# bytes per row of one block that writing or parsing may hold besides the
+# columns: a line, its row record and their copies (about 290 and 240 measured)
+_BLOCK_ROW_BYTES = 500
+
+
+@pytest.fixture(scope="module")
+def big_run() -> Transcript:
+    """A factored transcript of 100,000 rows, whose four query arrays would
+    take 25 bytes a row (2.5 MB); the tests that use it never build them."""
+    return _convex_run(t=100_000)
+
+
+@pytest.fixture
+def one_block(monkeypatch) -> int:
+    """Blocks of 2,048 rows, so that one block is small beside the columns of
+    big_run and the traced runs stay short; returns the bytes one block may hold."""
+    from secopt import protocol
+
+    monkeypatch.setattr(protocol, "_TEXT_BLOCK_ROWS", 2048)
+    return 2048 * _BLOCK_ROW_BYTES
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn allocates and tracemalloc sees (numpy's included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_from_text_peak_is_the_columns_plus_one_block(big_run, one_block, tmp_path) -> None:
+    # parsing fills preallocated columns: it never holds a second copy of them
+    path = tmp_path / "t.txt"
     for public in (False, True):
-        back = Transcript.from_text(tr.to_text(public=public))
-        rows = back.points.base
-        assert rows is not None and rows.dtype.names is not None
-        assert back.phase.base is rows and back.sub.base is rows
-        assert np.array_equal(back.points, tr.points) and np.array_equal(back.sub, tr.sub)
+        with open(path, "w") as fh:
+            big_run.write_text(fh, public=public)
+        with open(path) as fh:
+            peak = _traced_peak(lambda: Transcript.from_text(fh))
+        assert peak <= 25 * len(big_run) + one_block, public
+
+
+def test_write_text_peak_is_one_block(big_run, one_block) -> None:
+    peak = _traced_peak(lambda: big_run.write_text(_Discard()))
+    assert peak <= one_block < 25 * len(big_run)  # below the query arrays alone
+    assert isinstance(big_run.public_view(), PublicView)  # they are still unbuilt
 
 
 def _reference_to_text(tr: Transcript, public: bool) -> str:
     """Row-at-a-time formatter that Transcript.to_text must match byte for byte."""
-    lines = [f"# secopt-transcript config={tr.config_hash} mode={tr.mode} public={int(public)}"]
+    head = (
+        f"# secopt-transcript version=2 config={tr.config_hash} mode={tr.mode} "
+        f"public={int(public)} rows={len(tr)} s={tr.s_count}"
+    )
+    if tr.eps_adv is not None:
+        head += f" eps_adv={tr.eps_adv!r}"
+    lines = [head]
     for t in range(tr.points.size):
         row = f"{t + 1},{float(tr.points[t])!r},{tr.phase[t]},{tr.sub[t]}"
         lines.append(row if public else f"{row},{int(tr.informative[t])}")
@@ -227,7 +279,7 @@ def test_text_round_trip_property(rows, public) -> None:
         points=np.array(points, dtype=np.float64), phase=np.array(phase, dtype=np.int64),
         sub=np.array(sub, dtype=np.int64), informative=np.array(informative, dtype=bool),
         x_hat=math.nan, effective_gradients=0, config_hash="abc123", mode="Bisection",
-        s_count=0,
+        s_count=max(sub, default=0),
     )
     text = tr.to_text(public=public)
     assert text == _reference_to_text(tr, public)
@@ -354,6 +406,59 @@ def test_from_text_parses_a_file_like_the_str(tmp_path) -> None:
     )
 
 
+def _legacy(text: str) -> str:
+    """text under a version 1 header: config, mode and public only."""
+    head, _, rows = text.partition("\n")
+    kept = [tok for tok in head.split()[2:] if tok.split("=")[0] in ("config", "mode", "public")]
+    return " ".join(["# secopt-transcript", *kept]) + "\n" + rows
+
+
+def test_header_carries_s_and_eps_adv() -> None:
+    config = ProtocolConfig(T=200, eps_adv=0.03)
+    plain = run_plain_convex(config, make_uniformly_convex(2.0, 1.0, 0.3), RngStream(3, ()))
+    assert plain.sub.max() == 6 < config.subintervals  # S cannot be read off the rows
+    back = Transcript.from_text(plain.to_text())
+    assert (back.s_count, back.eps_adv) == (config.subintervals, 0.03)
+    old = Transcript.from_text(_legacy(plain.to_text()))
+    assert (old.s_count, old.eps_adv) == (6, None)
+    assert old.points.tobytes() == back.points.tobytes() == plain.points.tobytes()
+
+
+def test_from_text_without_a_row_count_grows_in_blocks(one_block) -> None:
+    tr = _convex_run(t=6000)  # three blocks of 2,048 rows
+    for public in (False, True):
+        text = tr.to_text(public=public)
+        no_count = text.replace(f" rows={len(tr)}", "", 1)
+        assert no_count != text
+        for source in (no_count, _legacy(text)):
+            assert _parse_outcome(source)[0] == _parse_outcome(text)[0]  # the four arrays
+        assert Transcript.from_text(_legacy(text)).s_count == 10  # the largest sub code
+
+
+_V2 = "# secopt-transcript version=2 config=abc mode=Bisection public=0"
+_BAD_V2 = [
+    _V2 + " rows=3\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # fewer rows than the header says
+    _V2 + " rows=1\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # more rows
+    _V2 + " rows=2 s=2\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # sub 3 outside 1..s
+    _V2 + " s=10\n1,0.5,1,0,0\n",  # sub 0
+    _V2.replace("version=2", "version=3") + "\n",
+    *(_V2 + f" rows={value}\n" for value in ("-1", "1.5", "", "+0", "x")),
+    _V2 + " s=ten\n",
+    _V2 + f" rows={10**15}\n",  # columns no address space holds: refused at once
+    *(_V2 + f" eps_adv={value}\n" for value in ("0", "-0.1", "nan", "inf", "abc", "")),
+]
+
+
+def test_from_text_checks_the_version_2_fields(tmp_path) -> None:
+    path = tmp_path / "t.txt"
+    for text in _BAD_V2:
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            assert _parse_outcome(fh)[0] == _parse_outcome(text)[0] == "error", text
+    ok = Transcript.from_text(_V2 + " rows=2 s=3 eps_adv=0.025\n1,0.5,1,1,0\n2,0.25,1,3,1\n")
+    assert (len(ok), ok.s_count, ok.eps_adv) == (2, 3, 0.025)
+
+
 class _WriteRecorder:
     def __init__(self) -> None:
         self.writes: list[str] = []
@@ -385,6 +490,7 @@ def test_public_view_is_read_only() -> None:
     with pytest.raises(TypeError):
         np.asarray(pub)
     parsed = Transcript.from_text(tr.to_text())
+    assert tr.points.size == len(tr)  # builds the arrays; write_text does not
     plain = run_plain_convex(ProtocolConfig(T=200), make_uniformly_convex(2.0, 1.0, 0.3),
                              RngStream(2, ()))
     for source in (tr, parsed, plain):  # arrays built, parsed or given: a view, not a copy
@@ -445,24 +551,85 @@ def test_factored_transcript_matches_eager_reference(mode, t, delta_adv, seed, x
         pub[k * s]
 
 
-def test_to_text_builds_from_the_block_order_draw(monkeypatch) -> None:
+def test_write_text_never_builds_the_query_arrays(monkeypatch) -> None:
     from secopt import protocol
 
     draws = []
     block_draw = protocol._draw_sub_orders
 
     def counting_draw(gen, n_phases, s_count):
-        draws.append((n_phases, s_count))
+        draws.append(n_phases)
         return block_draw(gen, n_phases, s_count)
 
     monkeypatch.setattr(protocol, "_draw_sub_orders", counting_draw)
-    config = ProtocolConfig(T=800, overrides={"C0": 2.0})
-    tr = _convex_run(t=800)
-    assert draws == []
-    text = tr.to_text()
-    assert draws == [(config.phases, config.subintervals)]
-    assert tr.to_text() == text and len(tr.points) == len(tr)
-    assert len(draws) == 1  # built once, then cached
+    block = protocol._TEXT_BLOCK_ROWS
+    config = ProtocolConfig(T=3 * block + 5000, overrides={"C0": 2.0})
+    tr = _convex_run(t=config.T)
+    k, s = config.phases, config.subintervals
+    assert block % s and len(tr) > 3 * block  # blocks end inside phases
+    orders = np.argsort(tr.order_stream.generator().random((k, s)), axis=1)
+    eager = Transcript(
+        **_eager_replicated_transcript(config, orders, tr.offsets, tr.homes),
+        x_hat=tr.x_hat, effective_gradients=tr.effective_gradients,
+        config_hash=tr.config_hash, mode=tr.mode, s_count=s, eps_adv=tr.eps_adv,
+    )
+    for public in (False, True):
+        draws.clear()
+        sink = _WriteRecorder()
+        tr.write_text(sink, public=public)
+        # one draw per block, of the phases it starts: every phase once
+        assert len(draws) == math.ceil(len(tr) / block) and sum(draws) == k
+        assert isinstance(tr.public_view(), PublicView)  # no K*S array was built
+        assert "".join(sink.writes) == eager.to_text(public=public)
+        assert tr.to_text(public=public) == _reference_to_text(eager, public)
+    draws.clear()
+    assert tr.points.tobytes() == eager.points.tobytes()  # built from the same blocks
+    assert tr.to_text() == eager.to_text() and sum(draws) == k  # then cached
+
+
+def _run_in(mode: str, t: int, delta_adv: float, seed: int, x_star: float = 0.37) -> Transcript:
+    """A run in any mode, at T = t + S so that at least one phase fits."""
+    config = ProtocolConfig(
+        mode=mode, delta_adv=delta_adv, eps_adv=delta_adv / 4, eps=delta_adv / 8,
+        x_star=x_star, overrides={"C0": 2.0},
+    )
+    config = config.with_updates(T=t + config.subintervals)
+    f = make_uniformly_convex(2.0, 1.0, x_star) if mode == "ConvexEpochGD" else make_abs(x_star)
+    return run_protocol(config, f, RngStream(seed, ()))
+
+
+@settings(
+    max_examples=40, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    mode=st.sampled_from(MODES),
+    t=st.integers(0, 3000),
+    delta_adv=st.one_of(st.sampled_from([0.1, 0.3, 0.07]), st.floats(0.02, 0.49)),
+    public=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# S = 10 does not divide the 16,384-row block: four blocks, three of them end inside a phase
+@example(mode="ConvexEpochGD", t=65_526, delta_adv=0.1, public=False, seed=5)
+def test_whole_run_text_round_trip(tmp_path, mode, t, delta_adv, public, seed) -> None:
+    tr = _run_in(mode, t, delta_adv, seed)
+    sink = io.StringIO()
+    tr.write_text(sink, public=public)  # streamed from the factored transcript
+    text = sink.getvalue()
+    assert text == _reference_to_text(tr, public)
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        parsed = [Transcript.from_text(text), Transcript.from_text(fh)]
+    for back in parsed:
+        for name in ("points", "phase", "sub", "informative"):
+            want = getattr(tr, name)
+            if public and name == "informative":
+                want = np.zeros(len(tr), dtype=bool)
+            got = getattr(back, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert (back.s_count, back.eps_adv) == (tr.s_count, delta_adv / 4)
+        assert (back.config_hash, back.mode) == (tr.config_hash, tr.mode)
 
 
 def test_bisection_exact_query_counts() -> None:
