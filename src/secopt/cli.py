@@ -242,8 +242,6 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
         raise ParameterError("transcript has no queries")
     s_count = args.s_count if args.s_count is not None else transcript.s_count
     eps_adv = args.eps_adv if args.eps_adv is not None else transcript.eps_adv
-    if eps_adv is None:
-        eps_adv = ProtocolConfig.eps_adv
     stream = RngStream(args.seed, ())
     n = args.samples
     # all samples in one call: the same guesses as n single draws
@@ -323,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--x-star", type=float, required=True, dest="x_star")
     p_adv.add_argument(
         "--eps-adv", type=float, default=None, dest="eps_adv",
-        help="default: the transcript header's eps_adv, else 0.04",
+        help="default: the transcript header's eps_adv",
     )
     p_adv.add_argument(
         "--s-count", type=int, default=None, dest="s_count",
-        help="default: the transcript header's s, else the largest subinterval code",
+        help="default: the transcript header's s",
     )
     p_adv.add_argument("--samples", type=int, default=1000)
     p_adv.add_argument("--seed", type=int, required=True)

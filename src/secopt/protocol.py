@@ -33,18 +33,13 @@ MODES = ("ConvexEpochGD", "Bisection", "NoisyBisection")
 # child stream indices hung off a trial's RngStream
 _STREAM_INIT, _STREAM_PERM, _STREAM_NOISE = 0, 1, 2
 
-# columns of a transcript text row; public files omit the last one
-_ROW_FIELDS = [
-    ("t", np.int64), ("points", np.float64), ("phase", np.int64),
-    ("sub", np.int64), ("informative", np.int64),
-]
-# the query arrays of a transcript, in row order
+# the query arrays of a transcript
 _COLUMNS = (("points", np.float64), ("phase", np.int64), ("sub", np.int64), ("informative", bool))
-# version 1 headers carry only config, mode and public
-_FORMAT_VERSION = "2"
-_HEADER_KEYS = ("version", "config", "mode", "public", "rows", "s", "eps_adv")
-# rows built, written or parsed per block: bounds what text I/O holds beyond
-# the columns themselves to a few MB
+# versions 1 and 2 wrote one row per query; they are refused, not parsed
+_FORMAT_VERSION = "3"
+_HEADER_KEYS = ("version", "config", "mode", "public", "phases", "s", "eps_adv")
+# queries expanded, written or parsed per block: bounds what text I/O holds
+# beyond the columns themselves to a few MB
 _TEXT_BLOCK_ROWS = 16_384
 # the lines of a str, broken where a file read in universal-newline mode breaks them
 _LINE = re.compile(r"[^\r\n]+")
@@ -164,10 +159,11 @@ class Transcript:
     A replicated run stores what defines its K*S queries: the K per-phase
     offsets, the home cell of each phase (or one for the whole run), S, the
     cell width and the order stream.  The query arrays points (float64), phase
-    and sub (int64) and informative (bool) are built from these on first
-    access, block by block (see _row_blocks), and cached; write_text formats
-    the same blocks without building them.  A parsed or plain transcript is
-    given the four arrays instead.
+    and sub (int64) and informative (bool) are expanded from these on first
+    access, block by block of phases (see _phase_blocks), and cached;
+    write_text formats the same blocks as one text row per phase without
+    expanding them.  A parsed or plain transcript is given the four arrays
+    instead, and has no text form.
 
     The adversary-facing projection is public_view(): query points only.
     """
@@ -179,7 +175,7 @@ class Transcript:
 
     def __init__(
         self, *, x_hat: float, effective_gradients: int, config_hash: str, mode: str,
-        s_count: int, eps_adv: float | None = None, points: np.ndarray | None = None,
+        s_count: int, eps_adv: float, points: np.ndarray | None = None,
         phase: np.ndarray | None = None, sub: np.ndarray | None = None,
         informative: np.ndarray | None = None, offsets: np.ndarray | None = None,
         homes: np.ndarray | None = None, cell_width: float = 0.0,
@@ -190,7 +186,7 @@ class Transcript:
         self.config_hash = config_hash
         self.mode = mode
         self.s_count = s_count
-        self.eps_adv = eps_adv  # None when unknown, as in a version 1 file
+        self.eps_adv = eps_adv
         self.offsets, self.homes = offsets, homes
         self.cell_width, self.order_stream = cell_width, order_stream
         self._arrays = None if offsets is not None else {
@@ -199,47 +195,30 @@ class Transcript:
 
     def _query_arrays(self) -> dict[str, np.ndarray]:
         if self._arrays is None:
-            n = len(self)
-            arrays = {name: np.empty(n, dtype) for name, dtype in _COLUMNS}
-            for lo, block in self._row_blocks():
-                for (name, _), column in zip(_COLUMNS, block):
-                    arrays[name][lo:lo + column.size] = column
+            arrays = {name: np.empty(len(self), dtype) for name, dtype in _COLUMNS}
+            for first, *block in self._phase_blocks():
+                _expand_phases(arrays, first, *block, self.cell_width)
             self._arrays = arrays
         return self._arrays
 
-    def _row_blocks(self) -> Iterator[tuple[int, list[np.ndarray]]]:
-        """The query columns in consecutive blocks of _TEXT_BLOCK_ROWS rows, each
-        with the index of its first row.
+    def _phase_blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(first phase, offsets, orders, homes) of consecutive blocks of
+        _phases_per_block(S) phases, the phase 0-based; orders holds each
+        phase's 0-based cells in query order.
 
-        A factored transcript builds each block from offsets, homes and the order
-        stream.  Consecutive draws give the rows of the one (K, S) block draw, so
-        a phase that a block cuts keeps its order row for the next block, and no
-        array of K*S rows is made.
+        Each block's order rows are one draw from the order stream: consecutive
+        draws give the rows of the one (K, S) block draw, so no array of K*S
+        queries is made.
         """
-        n, s, step = len(self), self.s_count, _TEXT_BLOCK_ROWS
-        if self._arrays is not None:
-            for lo in range(0, n, step):
-                yield lo, [self._arrays[name][lo:lo + step] for name, _ in _COLUMNS]
-            return
+        s, k = self.s_count, self.offsets.size
+        step = _phases_per_block(s)
         gen = self.order_stream.generator()
         # homes is one cell per phase, or a 0-d array for the whole run
         homes = np.broadcast_to(self.homes, self.offsets.shape)
-        carried = np.empty((0, s), dtype=np.intp)  # the order row of a cut phase
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            first, stop = lo // s, -(-hi // s)  # the phases this block touches
-            orders = np.concatenate(
-                [carried, _draw_sub_orders(gen, stop - first - len(carried), s)]
-            )
-            carried = orders[-1:] if hi % s else orders[:0]
-            points = orders * self.cell_width + self.offsets[first:stop, None]
-            rows = slice(lo - first * s, hi - first * s)
-            yield lo, [
-                points.ravel()[rows],
-                np.repeat(np.arange(first + 1, stop + 1, dtype=np.int64), s)[rows],
-                (orders + 1).ravel()[rows],
-                (orders == (homes[first:stop] - 1)[:, None]).ravel()[rows],
-            ]
+        for first in range(0, k, step):
+            stop = min(first + step, k)
+            orders = _draw_sub_orders(gen, stop - first, s)
+            yield first, self.offsets[first:stop], orders, homes[first:stop]
 
     def __len__(self) -> int:
         if self._arrays is None:
@@ -256,22 +235,31 @@ class Transcript:
         return view
 
     def _text_blocks(self, public: bool) -> Iterator[str]:
-        """The header line, then the rows of each _row_blocks block."""
+        """The header line, then one row per phase of each _phase_blocks block."""
+        if self.offsets is None:
+            raise ParameterError(
+                "only a replicated run's transcript has a text form; this one holds "
+                "its query arrays (a plain control or a parsed transcript)"
+            )
         header = {
             "version": _FORMAT_VERSION, "config": self.config_hash, "mode": self.mode,
-            "public": int(public), "rows": len(self), "s": self.s_count,
+            "public": int(public), "phases": self.offsets.size, "s": self.s_count,
+            "eps_adv": repr(float(self.eps_adv)),
         }
-        if self.eps_adv is not None:
-            header["eps_adv"] = repr(float(self.eps_adv))
+        if public:
+            del header["config"]  # config_hash() covers a fixed x_star
         yield " ".join(["# secopt-transcript", *(f"{k}={v}" for k, v in header.items())]) + "\n"
         # %r of a Python float is its shortest round-trip repr
-        fmt = "%d,%r,%d,%d\n" if public else "%d,%r,%d,%d,%d\n"
-        for lo, columns in self._row_blocks():
-            if public:
-                columns = columns[:3]
-            m = columns[0].size
-            rows = zip(range(lo + 1, lo + m + 1), *(col.tolist() for col in columns))
-            yield (fmt * m) % tuple(itertools.chain.from_iterable(rows))
+        fmt = "%d,%r" + ",%d" * (self.s_count + (not public)) + "\n"
+        for first, offsets, orders, homes in self._phase_blocks():
+            m = offsets.size
+            table = np.empty((m, self.s_count + 2 + (not public)), dtype=object)
+            table[:, 0] = range(first + 1, first + m + 1)
+            table[:, 1] = offsets.tolist()
+            table[:, 2:self.s_count + 2] = orders + 1
+            if not public:
+                table[:, -1] = homes
+            yield (fmt * m) % tuple(table.ravel().tolist())
 
     def write_text(self, fh: TextIO, public: bool = False) -> None:
         """Write to_text(public) to fh one block at a time."""
@@ -284,47 +272,39 @@ class Transcript:
     @classmethod
     def from_text(cls, source: str | Iterable[str]) -> "Transcript":
         """Parse to_text output from a str or an open text file; blank lines are
-        skipped.  Rows are parsed _TEXT_BLOCK_ROWS non-blank lines at a time into
-        columns preallocated from the header's row count, which a header
-        without one grows block by block.  A file is read line by line and
-        never held whole."""
+        skipped.  Phase rows are parsed _phases_per_block(S) non-blank lines at a
+        time and expanded into query columns preallocated from the header's
+        phase count.  A file is read line by line and never held whole."""
         lines = (m.group() for m in _LINE.finditer(source)) if isinstance(source, str) else source
         nonblank = filter(str.strip, lines)
         header = _parse_header(next(nonblank, "").rstrip("\r\n"))
-        public, expected, s_count = header["public"], header["rows"], header["s"]
-        row_dtype = np.dtype(_ROW_FIELDS[:4] if public else _ROW_FIELDS)
-        capacity = _TEXT_BLOCK_ROWS if expected is None else expected
+        public, expected, s_count = header["public"], header["phases"], header["s"]
         try:
-            columns = {
-                name: np.empty(capacity, dtype)
-                for name, dtype in (_COLUMNS[:3] if public else _COLUMNS)
-            }
-        except MemoryError:
-            raise ParameterError(f"transcript header rows={expected} is too large") from None
-        n = 0
-        while block := list(itertools.islice(nonblank, _TEXT_BLOCK_ROWS)):
-            rows = _parse_rows(block, row_dtype, n, s_count)
-            n += rows.size
-            if expected is not None and n > expected:
-                raise ParameterError(
-                    f"malformed transcript data: more rows than the header's rows={expected}"
-                )
-            if n > capacity:
-                capacity = max(2 * capacity, n)
-                for column in columns.values():
-                    column.resize(capacity, refcheck=False)  # no view of it exists yet
-            for name, column in columns.items():
-                column[n - rows.size:n] = rows[name]
-        if expected is not None and n != expected:
-            raise ParameterError(
-                f"malformed transcript data: {n} rows, the header says rows={expected}"
+            row_dtype = np.dtype(
+                [("k", np.int64), ("offset", np.float64), ("cells", np.int64, (s_count,))]
+                + ([] if public else [("home", np.int64)])
             )
-        for column in columns.values():
-            column.resize(n, refcheck=False)
-        if public:
-            columns["informative"] = np.zeros(n, dtype=bool)
-        if s_count is None:  # a version 1 header: S is the largest subinterval code
-            s_count = int(columns["sub"].max()) if n else 0
+            columns = {name: np.empty(expected * s_count, dtype) for name, dtype in _COLUMNS}
+        except (MemoryError, ValueError):
+            raise ParameterError(
+                f"transcript header phases={expected} s={s_count} is too large"
+            ) from None
+        step, k = _phases_per_block(s_count), 0
+        while block := list(itertools.islice(nonblank, step)):
+            rows = _parse_phase_rows(block, row_dtype, k, s_count)
+            if k + rows.size > expected:
+                raise ParameterError(
+                    f"malformed transcript data: more phase rows than the header's "
+                    f"phases={expected}"
+                )
+            # home 0 names no cell: a public file flags no query informative
+            homes = np.zeros(rows.size, np.int64) if public else rows["home"]
+            _expand_phases(columns, k, rows["offset"], rows["cells"] - 1, homes, 1.0 / s_count)
+            k += rows.size
+        if k != expected:
+            raise ParameterError(
+                f"malformed transcript data: {k} phase rows, the header says phases={expected}"
+            )
         return cls(
             **columns, x_hat=math.nan,
             effective_gradients=int(columns["informative"].sum()),
@@ -333,71 +313,91 @@ class Transcript:
         )
 
 
+def _phases_per_block(s_count: int) -> int:
+    """Phases per text block: about _TEXT_BLOCK_ROWS queries."""
+    return max(1, _TEXT_BLOCK_ROWS // s_count)
+
+
+def _expand_phases(
+    columns: dict[str, np.ndarray], first: int, offsets: np.ndarray, orders: np.ndarray,
+    homes: np.ndarray, cell_width: float,
+) -> None:
+    """Write the queries of phases first+1..first+len(offsets) into the query
+    columns: the j-th query of phase k is offsets[k] in cell orders[k, j] (0-based)
+    of width cell_width, informative iff that cell is homes[k] (1-based)."""
+    s, stop = orders.shape[1], first + offsets.size
+    queries = slice(first * s, stop * s)
+    columns["points"][queries] = (orders * cell_width + offsets[:, None]).ravel()
+    columns["phase"][queries] = np.repeat(np.arange(first + 1, stop + 1), s)
+    columns["sub"][queries] = (orders + 1).ravel()
+    columns["informative"][queries] = (orders == (homes - 1)[:, None]).ravel()
+
+
 def _parse_header(head: str) -> dict[str, Any]:
-    """The fields of a transcript header line; those a version 1 header lacks
-    are None."""
-    if not head.startswith("# secopt-transcript"):
+    """The fields of a version 3 transcript header line."""
+    parts = head.split()
+    if parts[:2] != ["#", "secopt-transcript"]:
         raise ParameterError("not a transcript: missing header line")
-    tokens = head.split()[2:]
+    tokens = parts[2:]
     try:
         header = dict(tok.split("=", 1) for tok in tokens)
     except ValueError:
         raise ParameterError(f"malformed transcript header {head!r}") from None
-    if len(header) != len(tokens) or not set(header) <= set(_HEADER_KEYS):
+    version = header.get("version", "1")  # version 1 headers have no version field
+    if version != _FORMAT_VERSION:
         raise ParameterError(
-            f"malformed transcript header {head!r}: "
-            f"keys must be distinct and among {sorted(_HEADER_KEYS)}"
+            f"transcript format version {version} is not read, only version {_FORMAT_VERSION}; "
+            "a seeded export-transcript writes the run again"
         )
-    if header.get("version", _FORMAT_VERSION) != _FORMAT_VERSION:
+    required = set(_HEADER_KEYS) - {"config"}  # public headers omit config
+    if len(header) != len(tokens) or not required <= set(header) <= set(_HEADER_KEYS):
         raise ParameterError(
-            f"transcript format version {header['version']!r} is not {_FORMAT_VERSION}"
+            f"malformed transcript header {head!r}: keys must be distinct, include "
+            f"{sorted(required)} and be among {sorted(_HEADER_KEYS)}"
         )
-    if header.get("public", "0") not in ("0", "1"):
+    if header["public"] not in ("0", "1"):
         raise ParameterError(f"transcript header public={header['public']!r} is not 0 or 1")
-    fields: dict[str, Any] = {
-        "config": header.get("config", ""), "mode": header.get("mode", ""),
-        "public": header.get("public") == "1",
+    for key, least in (("phases", 0), ("s", 1)):
+        value = header[key]
+        if not re.fullmatch("[0-9]+", value) or int(value) < least:
+            raise ParameterError(f"transcript header {key}={value!r} is not a count >= {least}")
+    try:
+        eps_adv = float(header["eps_adv"])
+    except ValueError:
+        eps_adv = math.nan
+    if not 0.0 < eps_adv < math.inf:
+        raise ParameterError(
+            f"transcript header eps_adv={header['eps_adv']!r} is not a positive number"
+        )
+    return {
+        "config": header.get("config", ""), "mode": header["mode"],
+        "public": header["public"] == "1", "phases": int(header["phases"]),
+        "s": int(header["s"]), "eps_adv": eps_adv,
     }
-    for key in ("rows", "s"):
-        value = header.get(key)
-        if value is not None and not re.fullmatch("[0-9]+", value):
-            raise ParameterError(f"transcript header {key}={value!r} is not a count")
-        fields[key] = None if value is None else int(value)
-    fields["eps_adv"] = None
-    if "eps_adv" in header:
-        try:
-            fields["eps_adv"] = float(header["eps_adv"])
-        except ValueError:
-            pass
-        if not 0.0 < (fields["eps_adv"] or 0.0) < math.inf:
-            raise ParameterError(
-                f"transcript header eps_adv={header['eps_adv']!r} is not a positive number"
-            )
-    return fields
 
 
-def _parse_rows(
-    block: list[str], row_dtype: np.dtype, first: int, s_count: int | None
+def _parse_phase_rows(
+    block: list[str], row_dtype: np.dtype, first: int, s_count: int
 ) -> np.ndarray:
-    """One block of data lines as a row array, numbered from first + 1; the
-    informative flags must be 0 or 1, and sub in 1..S when S is known."""
+    """One block of phase rows as a row array, numbered from first + 1; each
+    row's cells must be a permutation of 1..S, and its home must lie in 1..S."""
     try:
         rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
         # numpy's message names the row within the block; its usecols hint does not apply
         reason = str(exc).split(";")[0]
         raise ParameterError(
-            f"malformed transcript data in rows {first + 1}..{first + len(block)}, expected "
-            f"{len(row_dtype)} comma-separated numbers per row: {reason}"
+            f"malformed transcript data in phase rows {first + 1}..{first + len(block)}, "
+            f"expected {len(row_dtype) + s_count - 1} comma-separated numbers per row: {reason}"
         ) from None
-    if not np.array_equal(rows["t"], np.arange(first + 1, first + rows.size + 1)):
-        raise ParameterError("malformed transcript data: rows must be numbered 1..n in order")
-    if "informative" in row_dtype.names:
-        flags = rows["informative"]
-        if not np.all((flags == 0) | (flags == 1)):
-            raise ParameterError("malformed transcript data: informative must be 0 or 1")
-    if s_count is not None and not np.all((rows["sub"] >= 1) & (rows["sub"] <= s_count)):
-        raise ParameterError(f"malformed transcript data: sub must lie in 1..s={s_count}")
+    if not np.array_equal(rows["k"], np.arange(first + 1, first + rows.size + 1)):
+        raise ParameterError("malformed transcript data: phases must be numbered 1..K in order")
+    if not np.all(np.sort(rows["cells"], axis=1) == np.arange(1, s_count + 1)):
+        raise ParameterError(
+            f"malformed transcript data: each phase's cells must be a permutation of 1..s={s_count}"
+        )
+    if "home" in row_dtype.names and not np.all((rows["home"] >= 1) & (rows["home"] <= s_count)):
+        raise ParameterError(f"malformed transcript data: home must lie in 1..s={s_count}")
     return rows
 
 

@@ -12,6 +12,7 @@ import hashlib
 from secopt import (
     ProtocolConfig,
     RngStream,
+    Transcript,
     export_csv,
     make_uniformly_convex,
     run_batch,
@@ -26,6 +27,10 @@ def _sha(data: bytes) -> str:
 
 def _data_rows(text: bytes) -> bytes:
     return text.partition(b"\n")[2]
+
+
+def _query_bytes(tr: Transcript) -> bytes:
+    return tr.points.tobytes() + tr.phase.tobytes() + tr.sub.tobytes() + tr.informative.tobytes()
 
 
 def test_cli_run_csv_digest(tmp_path) -> None:
@@ -68,9 +73,11 @@ def test_non_quadratic_batch_csv_digests() -> None:
 
 
 def test_exported_transcript_rows_digest(tmp_path) -> None:
+    # version 3 data rows, one per phase: re-pinned when the format changed
+    # from one row per query; the query arrays they give are pinned below
     expected = {
-        (): "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12",
-        ("--public",): "5515ff3e4ef1e7e2e8e6c83ebe13063516e71a6aae7d3e75849e9ec0363a5418",
+        (): "368c53024b7fa409a2138407c66440e9013cd94c92eacd478299425e1caeec2c",
+        ("--public",): "33285b9fe151b580ae8d7220ae6ccac65a082e68a9d06bdf9cdb1a997045d4f9",
     }
     out = tmp_path / "t.txt"
     for flags, digest in expected.items():
@@ -82,7 +89,16 @@ def test_exported_transcript_rows_digest(tmp_path) -> None:
 def test_exported_transcript_stdout_rows_digest(capsys) -> None:
     assert cli_main(["export-transcript", "--seed", "3", "--T=200000"]) == 0
     assert _sha(_data_rows(capsys.readouterr().out.encode())) == (
-        "e916bbfde4fac1faf892274f151bfdbaa902f7d97d46aca8ee5af1d6e7e1dc12"
+        "368c53024b7fa409a2138407c66440e9013cd94c92eacd478299425e1caeec2c"
+    )
+
+
+def test_exported_transcript_query_arrays_digest(capsys) -> None:
+    # recorded from the version 2 text, one row per query: the query stream
+    # survives the change to one row per phase bit for bit
+    assert cli_main(["export-transcript", "--seed", "3", "--T=200000"]) == 0
+    assert _sha(_query_bytes(Transcript.from_text(capsys.readouterr().out))) == (
+        "03698c173e5d4f3bb5134f1f2b480c973ec8d8611753e33863df64e6daa1569b"
     )
 
 
@@ -100,10 +116,12 @@ def test_adversary_eval_stdout_digest(tmp_path, capsys) -> None:
 
 
 def test_plain_control_transcript_digest() -> None:
+    # the plain control has no text form: its query arrays are pinned, as
+    # recorded when they were still written one row per query
     config = ProtocolConfig(T=30000, overrides={"C0": 2.0})
     tr = run_plain_convex(config, make_uniformly_convex(2.0, 1.0, 0.3), RngStream(4, (1,)))
     assert tr.effective_gradients == 16380
     assert tr.x_hat == 0.3007684810746028
-    assert _sha(_data_rows(tr.to_text().encode())) == (
-        "897cca0c724eac4dcfef2ba1956df1a4f64be724fe92171e8cbf1e98658a2c8c"
+    assert _sha(_query_bytes(tr)) == (
+        "837affae6198ec67b2e7b3c7968627bfefc36042930c89c49af8c15636c1c117"
     )

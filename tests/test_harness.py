@@ -317,11 +317,13 @@ def test_cli_run_summary_follows_redirected_stdout() -> None:
     assert "delta_hat=" in buf.getvalue()
 
 
+_V3_HEAD = "# secopt-transcript version=3 mode=ConvexEpochGD public=0 phases=2 s=3 eps_adv=0.04\n"
+
+
 def test_cli_adversary_eval_malformed_transcript_exits_2(tmp_path, capsys) -> None:
     path = tmp_path / "transcript.txt"
-    head = "# secopt-transcript config=abc mode=ConvexEpochGD public=0\n"
-    for row in ("1,abc,1,1,0", "1,0.5,1", "1,0.5,1,1,0,7"):
-        path.write_text(f"{head}1,0.25,1,3,1\n{row}\n")
+    for row in ("2,abc,1,2,3,1", "2,0.5,1,2,3", "2,0.5,1,2,3,1,7"):
+        path.write_text(f"{_V3_HEAD}1,0.25,3,1,2,1\n{row}\n")
         rc = cli_main([
             "adversary-eval", "--transcript", str(path), "--x-star", "0.5", "--seed", "9",
         ])
@@ -331,11 +333,11 @@ def test_cli_adversary_eval_malformed_transcript_exits_2(tmp_path, capsys) -> No
 
 def test_cli_adversary_eval_unchecked_fields_exit_2(tmp_path, capsys) -> None:
     path = tmp_path / "transcript.txt"
-    rows = "1,0.25,1,3,1\n2,0.5,1,6,0\n"
+    rows = "1,0.25,3,1,2,1\n2,0.5,1,2,3,3\n"
     texts = [
-        "# secopt-transcript config=abc mode=ConvexEpochGD public=0\n7,0.5,1,1,2\n7,0.25,1,3,-1\n",
-        "# secopt-transcript config=abc mode=ConvexEpochGD public=yes bogus=1\n" + rows,
-        "# secopt-transcript config=abc mode=ConvexEpochGD public=0 bogus=1\n" + rows,
+        _V3_HEAD + "7,0.5,1,2,3,1\n7,0.25,3,1,2,1\n",  # phases numbered 7, 7
+        _V3_HEAD.replace("public=0", "public=yes bogus=1") + rows,
+        _V3_HEAD.replace("public=0", "public=0 bogus=1") + rows,
     ]
     for text in texts:
         path.write_text(text)
@@ -420,11 +422,16 @@ def test_cli_adversary_eval_scores_at_the_runs_eps_adv(tmp_path, capsys) -> None
         return capsys.readouterr().out
 
     assert evaluate() == evaluate("--eps-adv", "0.02") != evaluate("--eps-adv", "0.04")
-    # a version 1 header carries no eps_adv: scored at the old default
+    # a version 1 header carried no eps_adv: such a file is refused, not
+    # scored at a default that need not be the run's
     head, _, rows = path.read_text().partition("\n")
     kept = [tok for tok in head.split() if tok.split("=")[0] in ("config", "mode", "public")]
     path.write_text(" ".join(["# secopt-transcript", *kept]) + "\n" + rows)
-    assert evaluate() == evaluate("--eps-adv", "0.04")
+    capsys.readouterr()
+    assert cli_main([
+        "adversary-eval", "--transcript", str(path), "--x-star", "0.4", "--seed", "9",
+    ]) == 2
+    assert "version 1" in capsys.readouterr().err
 
 
 def test_cli_public_export_writes_no_seed_or_stream_key(capsys) -> None:
@@ -436,7 +443,21 @@ def test_cli_public_export_writes_no_seed_or_stream_key(capsys) -> None:
     text = capsys.readouterr().out
     head = text.partition("\n")[0]
     fields = dict(tok.split("=", 1) for tok in head.split()[2:])
-    assert sorted(fields) == ["config", "eps_adv", "mode", "public", "rows", "s", "version"]
+    assert sorted(fields) == ["eps_adv", "mode", "phases", "public", "s", "version"]
     for secret in (str(seed), hex(seed)[2:], str(trial)):
         assert secret not in head
     assert str(seed) not in text
+
+
+def test_cli_public_header_does_not_depend_on_x_star(capsys) -> None:
+    # the config hash covers a fixed x_star: hashing 1,001 candidate configs
+    # would find it, so a public header carries no hash
+    heads = []
+    for x_star in ("0.4", "0.41"):
+        argv = ["export-transcript", "--seed", "3", "--T=2000", f"--x_star={x_star}"]
+        assert cli_main([*argv, "--public"]) == 0
+        heads.append(capsys.readouterr().out.partition("\n")[0])
+        assert cli_main(argv) == 0
+        assert "config=" in capsys.readouterr().out.partition("\n")[0]  # private keeps it
+    assert heads[0] == heads[1]
+    assert "config=" not in heads[0]

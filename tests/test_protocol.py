@@ -192,22 +192,24 @@ def test_transcript_round_trip() -> None:
         Transcript.from_text("not a transcript\n1,2,3\n")
 
 
-# bytes per row of one block that writing or parsing may hold besides the
-# columns: a line, its row record and their copies (about 290 and 240 measured)
-_BLOCK_ROW_BYTES = 500
+# bytes per query of one block that writing or parsing may hold besides the
+# columns: phase lines, their row records, the expanded block and their copies
+# (about 55 and 60 measured; 290 and 240 when each query had its own line)
+_BLOCK_ROW_BYTES = 150
 
 
 @pytest.fixture(scope="module")
 def big_run() -> Transcript:
-    """A factored transcript of 100,000 rows, whose four query arrays would
-    take 25 bytes a row (2.5 MB); the tests that use it never build them."""
+    """A factored transcript of 100,000 queries, whose four query arrays would
+    take 25 bytes a query (2.5 MB); the tests that use it never build them."""
     return _convex_run(t=100_000)
 
 
 @pytest.fixture
 def one_block(monkeypatch) -> int:
-    """Blocks of 2,048 rows, so that one block is small beside the columns of
-    big_run and the traced runs stay short; returns the bytes one block may hold."""
+    """Blocks of about 2,048 queries, so that one block is small beside the
+    columns of big_run and the traced runs stay short; returns the bytes one
+    block may hold."""
     from secopt import protocol
 
     monkeypatch.setattr(protocol, "_TEXT_BLOCK_ROWS", 2048)
@@ -246,53 +248,61 @@ def test_write_text_peak_is_one_block(big_run, one_block) -> None:
     assert isinstance(big_run.public_view(), PublicView)  # they are still unbuilt
 
 
-def _reference_to_text(tr: Transcript, public: bool) -> str:
-    """Row-at-a-time formatter that Transcript.to_text must match byte for byte."""
-    head = (
-        f"# secopt-transcript version=2 config={tr.config_hash} mode={tr.mode} "
-        f"public={int(public)} rows={len(tr)} s={tr.s_count}"
-    )
-    if tr.eps_adv is not None:
-        head += f" eps_adv={tr.eps_adv!r}"
-    lines = [head]
-    for t in range(tr.points.size):
-        row = f"{t + 1},{float(tr.points[t])!r},{tr.phase[t]},{tr.sub[t]}"
-        lines.append(row if public else f"{row},{int(tr.informative[t])}")
+def _reference_to_text(tr: Transcript, public: bool, sub: np.ndarray | None = None) -> str:
+    """Phase-at-a-time formatter that Transcript.to_text must match byte for
+    byte, from the run's query cells: tr.sub unless sub is given."""
+    k, s = tr.offsets.size, tr.s_count
+    cells = (tr.sub if sub is None else sub).reshape(k, s)
+    homes = np.broadcast_to(tr.homes, (k,))
+    config = "" if public else f" config={tr.config_hash}"
+    lines = [
+        f"# secopt-transcript version=3{config} mode={tr.mode} public={int(public)} "
+        f"phases={k} s={s} eps_adv={float(tr.eps_adv)!r}"
+    ]
+    for i in range(k):
+        row = f"{i + 1},{float(tr.offsets[i])!r}," + ",".join(str(c) for c in cells[i])
+        lines.append(row if public else f"{row},{homes[i]}")
     return "\n".join(lines) + "\n"
 
 
-_POINTS = st.one_of(
+_OFFSETS = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 0.30000000000000004]),
     st.floats(min_value=0.0, max_value=1.0),
-)
-_ROWS = st.lists(
-    st.tuples(_POINTS, st.integers(0, 2**62), st.integers(1, 2**62), st.booleans()),
-    max_size=40,
 )
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(rows=_ROWS, public=st.booleans())
-def test_text_round_trip_property(rows, public) -> None:
-    points, phase, sub, informative = zip(*rows) if rows else ([],) * 4
+@given(
+    offsets=st.lists(_OFFSETS, max_size=40), s=st.integers(1, 12), public=st.booleans(),
+    seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_text_round_trip_property(offsets, s, public, seed, data) -> None:
+    # any offsets, S and homes: one home per phase, or one for the whole run
+    homes = data.draw(st.one_of(
+        st.integers(1, s),
+        st.lists(st.integers(1, s), min_size=len(offsets), max_size=len(offsets)),
+    ))
     tr = Transcript(
-        points=np.array(points, dtype=np.float64), phase=np.array(phase, dtype=np.int64),
-        sub=np.array(sub, dtype=np.int64), informative=np.array(informative, dtype=bool),
-        x_hat=math.nan, effective_gradients=0, config_hash="abc123", mode="Bisection",
-        s_count=max(sub, default=0),
+        offsets=np.array(offsets, dtype=np.float64), homes=np.array(homes, dtype=np.int64),
+        cell_width=1.0 / s, order_stream=RngStream(seed, ()), x_hat=math.nan,
+        effective_gradients=0, config_hash="abc123", mode="Bisection", s_count=s,
+        eps_adv=0.04,
     )
     text = tr.to_text(public=public)
     assert text == _reference_to_text(tr, public)
     back = Transcript.from_text(text)
     for name in ("points", "phase", "sub"):
         assert getattr(back, name).dtype == getattr(tr, name).dtype
-        assert np.array_equal(getattr(back, name), getattr(tr, name))
+        assert getattr(back, name).tobytes() == getattr(tr, name).tobytes()
+    # query (k-1)*S + j is the point (c_j - 1) * (1.0 / s) + offset_k
+    decoded = (back.sub - 1) * (1.0 / s) + np.repeat(tr.offsets, s)
+    assert back.points.tobytes() == decoded.tobytes()
     assert back.informative.dtype == np.bool_
     expected_inf = np.zeros(len(tr), dtype=bool) if public else tr.informative
     assert np.array_equal(back.informative, expected_inf)
-    assert back.effective_gradients == int(expected_inf.sum())
-    assert back.s_count == (max(sub) if rows else 0)
-    assert (back.config_hash, back.mode) == ("abc123", "Bisection")
+    assert back.effective_gradients == int(expected_inf.sum()) == (0 if public else len(offsets))
+    assert (back.s_count, back.eps_adv, back.mode) == (s, 0.04, "Bisection")
+    assert back.config_hash == ("" if public else "abc123")
 
 
 def _messy(text: str) -> str:
@@ -310,10 +320,8 @@ def test_from_text_skips_blank_lines_and_crlf() -> None:
     assert back.s_count == clean.s_count == 10
 
 
-_HEADER_ONLY = [
-    f"\n# secopt-transcript config=abc mode=Bisection public={public}\n  \n"
-    for public in (0, 1)
-]
+_HEAD = "# secopt-transcript version=3{} mode=Bisection public={} phases={} s={} eps_adv=0.04\n"
+_HEADER_ONLY = [f"\n{_HEAD.format('', public, 0, 10)}  \n" for public in (0, 1)]
 
 
 def test_from_text_header_only_gives_empty_transcript() -> None:
@@ -321,44 +329,66 @@ def test_from_text_header_only_gives_empty_transcript() -> None:
         warnings.simplefilter("error")
         for text in _HEADER_ONLY:
             tr = Transcript.from_text(text)
-            assert len(tr) == 0 and tr.s_count == 0 and tr.effective_gradients == 0
+            assert len(tr) == 0 and tr.s_count == 10 and tr.effective_gradients == 0
             assert (tr.points.dtype, tr.phase.dtype, tr.sub.dtype, tr.informative.dtype) == (
                 np.float64, np.int64, np.int64, np.bool_,
             )
 
 
-_PRIVATE = "# secopt-transcript config=abc mode=Bisection public=0\n"
-_PUBLIC = "# secopt-transcript config=abc mode=Bisection public=1\n"
+# two phases at S = 3: phase, offset, three cells and, in a private file, the home
+_PRIVATE = _HEAD.format(" config=abc", 0, 2, 3)
+_PUBLIC = _HEAD.format("", 1, 2, 3)
+_OK = _PRIVATE + "1,0.25,3,1,2,1\n2,0.125,2,3,1,2\n"
 _MALFORMED_ROWS = [
-    _PRIVATE + "1,abc,1,1,0\n",  # non-numeric point
-    _PRIVATE + "1,0.5,1,1,0\n2,0.5,x,1,0\n",  # non-numeric phase in a later row
-    _PRIVATE + "z,0.5,1,1,0\n",  # non-numeric index
-    _PRIVATE + "1,0.5,1.5,1,0\n",  # fractional phase
-    _PRIVATE + "1,0.5,1,1\n",  # too few columns
-    _PRIVATE + "1,0.5,1,1,0\n2,0.5,1\n",
-    _PRIVATE + "1,0.5,1,1,0,7\n",  # too many columns
-    _PRIVATE + "1,0.5,1,1,0,\n",
-    _PUBLIC + "1,0.5,1,1,0\n",  # private row under a public header
-    "# secopt-transcript config=abc stray\n",  # header token without '='
-    _PRIVATE + "1,0.5,1,1,0\x0c2,0.25,1,3,1\n",  # a form feed is no line break
-    _PRIVATE + "1,0.5,1,1,0\u20282,0.25,1,3,1\n",
+    _PRIVATE + "1,abc,3,1,2,1\n2,0.125,2,3,1,2\n",  # non-numeric offset
+    _PRIVATE + "1,0.25,3,1,2,1\n2,0.125,x,3,1,2\n",  # non-numeric cell in a later row
+    _PRIVATE + "z,0.25,3,1,2,1\n2,0.125,2,3,1,2\n",  # non-numeric phase
+    _PRIVATE + "1,0.25,3,1.5,2,1\n2,0.125,2,3,1,2\n",  # fractional cell
+    _PRIVATE + "1,0.25,3,1,2\n2,0.125,2,3,1\n",  # public rows under a private header
+    _PRIVATE + "1,0.25,3,1,2,1\n2,0.125,2,3\n",  # too few columns
+    _PRIVATE + "1,0.25,3,1,2,1,7\n2,0.125,2,3,1,2\n",  # too many columns
+    _PRIVATE + "1,0.25,3,1,2,1,\n2,0.125,2,3,1,2\n",
+    _PUBLIC + "1,0.25,3,1,2,1\n2,0.125,2,3,1,2\n",  # private rows under a public header
+    "# secopt-transcript version=3 config=abc stray\n",  # header token without '='
+    _PRIVATE + "1,0.25,3,1,2,1\x0c2,0.125,2,3,1,2\n",  # a form feed is no line break
+    _PRIVATE + "1,0.25,3,1,2,1\u20282,0.125,2,3,1,2\n",
 ]
-_BAD_INDEX_FLAGS_AND_HEADER = [
-    _PRIVATE + "7,0.5,1,1,2\n7,0.25,1,3,-1\n",  # index not 1..n, flags not 0/1
-    _PRIVATE + "1,0.5,1,1,0\n1,0.25,1,3,1\n",  # repeated index
-    _PRIVATE + "2,0.5,1,1,0\n1,0.25,1,3,1\n",  # rows out of order
-    _PRIVATE + "0,0.5,1,1,0\n",
-    _PUBLIC + "1,0.5,1,1\n3,0.25,1,3\n",  # gap in a public file
-    _PRIVATE + "1,0.5,1,1,2\n",  # informative flag 2
-    _PRIVATE + "1,0.5,1,1,-1\n",
-    "# secopt-transcript config=abc mode=Bisection public=yes\n1,0.5,1,1,0\n",
-    "# secopt-transcript config=abc mode=Bisection public=\n",
-    "# secopt-transcript config=abc mode=Bisection public=1 bogus=1\n",
-    "# secopt-transcript config=abc mode=Bisection public=0 public=1\n",  # repeated key
+_BAD_PHASES_CELLS_AND_HEADER = [
+    _PRIVATE + "7,0.25,3,1,2,1\n7,0.125,2,3,1,2\n",  # phases not numbered 1..K
+    _PRIVATE + "1,0.25,3,1,2,1\n1,0.125,2,3,1,2\n",  # repeated phase
+    _PRIVATE + "2,0.25,3,1,2,1\n1,0.125,2,3,1,2\n",  # phases out of order
+    _PRIVATE + "0,0.25,3,1,2,1\n1,0.125,2,3,1,2\n",
+    _PUBLIC + "1,0.25,3,1,2\n3,0.125,2,3,1\n",  # gap in a public file
+    _PRIVATE + "1,0.25,3,1,1,1\n2,0.125,2,3,1,2\n",  # cells not a permutation: 1 twice
+    _PRIVATE + "1,0.25,3,1,4,1\n2,0.125,2,3,1,2\n",  # cell 4 outside 1..s
+    _PRIVATE + "1,0.25,3,1,2,1\n2,0.125,0,3,1,2\n",  # cell 0
+    _PUBLIC + "1,0.25,3,3,3\n2,0.125,2,3,1\n",
+    _PRIVATE + "1,0.25,3,1,2,4\n2,0.125,2,3,1,2\n",  # home 4 outside 1..s
+    _PRIVATE + "1,0.25,3,1,2,1\n2,0.125,2,3,1,0\n",  # home 0
+    _PRIVATE + "1,0.25,3,1,2,-1\n2,0.125,2,3,1,2\n",
+    _PRIVATE + "1,0.25,3,1,2,1\n",  # fewer phases than the header's phases=2
+    _OK + "3,0.5,1,2,3,1\n",  # more phases
+    _PUBLIC.replace("public=1", "public=yes") + "1,0.25,3,1,2\n2,0.125,2,3,1\n",
+    _PUBLIC.replace("public=1", "public="),
+    _PRIVATE.replace("public=0", "public=0 bogus=1"),
+    _PRIVATE.replace("public=0", "public=0 public=1"),  # repeated key
     "",  # no header line
     " \n\t\n",
     "not a transcript\n1,2,3\n",
+    "# secopt-transcriptX version=3 mode=Bisection public=1 phases=0 s=3 eps_adv=0.04\n",
 ]
+# versions 1 and 2 wrote one row per query; a seeded export-transcript writes
+# version 3 from the same run
+_OLD_VERSIONS = {
+    "version 1": "# secopt-transcript config=abc mode=Bisection public=0\n"
+                 "1,0.5,1,1,0\n2,0.25,1,3,1\n",
+    "version 2": "# secopt-transcript version=2 config=54cbaadfb36a mode=ConvexEpochGD public=0 "
+                 "rows=3 s=10 eps_adv=0.04\n1,0.8072433822262511,1,9,0\n"
+                 "2,0.9072433822262511,1,10,0\n3,0.2072433822262511,1,3,0\n",
+    "public version 1": "# secopt-transcript config=abc mode=Bisection public=1\n",
+    "public version 2": "# secopt-transcript version=2 config=abc mode=Bisection public=1 "
+                        "rows=0 s=3\n",
+}
 
 
 def test_from_text_rejects_malformed_rows() -> None:
@@ -368,11 +398,16 @@ def test_from_text_rejects_malformed_rows() -> None:
 
 
 def test_from_text_rejects_bad_index_flags_and_header() -> None:
-    for text in _BAD_INDEX_FLAGS_AND_HEADER:
+    # phase numbering, cell permutations, home range, phase count and header
+    for text in _BAD_PHASES_CELLS_AND_HEADER:
         with pytest.raises(ParameterError):
             Transcript.from_text(text)
-    ok = Transcript.from_text(_PRIVATE + "1,0.5,1,1,0\n2,0.25,1,3,1\n")
-    assert ok.informative.tolist() == [False, True] and ok.effective_gradients == 1
+    ok = Transcript.from_text(_OK)
+    assert ok.informative.tolist() == [False, True, False, True, False, False]
+    assert ok.sub.tolist() == [3, 1, 2, 2, 3, 1] and ok.phase.tolist() == [1, 1, 1, 2, 2, 2]
+    assert ok.points.tolist() == [2 / 3 + 0.25, 0.25, 1 / 3 + 0.25, 1 / 3 + 0.125,
+                                  2 / 3 + 0.125, 0.125]
+    assert ok.effective_gradients == 2
 
 
 def _parse_outcome(source) -> tuple:
@@ -385,78 +420,107 @@ def _parse_outcome(source) -> tuple:
         (getattr(tr, name).dtype.str, getattr(tr, name).tobytes())
         for name in ("points", "phase", "sub", "informative")
     )
-    return arrays, tr.config_hash, tr.mode, tr.s_count, tr.effective_gradients
+    return arrays, tr.config_hash, tr.mode, tr.s_count, tr.eps_adv, tr.effective_gradients
+
+
+_BAD_V3 = [
+    *(_PRIVATE.replace("phases=2", f"phases={value}") for value in ("-1", "1.5", "", "+0", "x")),
+    *(_PRIVATE.replace("s=3", f"s={value}") for value in ("ten", "0", "")),
+    _PRIVATE.replace("phases=2", f"phases={10**15}"),  # no address space holds the columns
+    _PRIVATE.replace("phases=2", f"phases={10**30}"),
+    *(_PRIVATE.replace("eps_adv=0.04", f"eps_adv={value}")
+      for value in ("0", "-0.1", "nan", "inf", "abc", "")),
+    *(_PRIVATE.replace(f" {key}=", f" x{key}=") for key in ("mode", "public", "phases", "s")),
+    _PRIVATE.replace(" eps_adv=0.04", ""),  # every key but config is required
+    _PRIVATE.replace("version=3", "version=4"),
+    _PRIVATE.replace("phases=2", "phases=2 rows=6"),  # a version 2 key
+]
+
+
+# every text the parser must refuse
+_REJECTED = [*_MALFORMED_ROWS, *_BAD_PHASES_CELLS_AND_HEADER, *_BAD_V3, *_OLD_VERSIONS.values()]
 
 
 def test_from_text_parses_a_file_like_the_str(tmp_path) -> None:
-    ok = _PRIVATE + "1,0.5,1,1,0\n2,0.25,1,3,1\n"
     good = [_convex_run(t=800).to_text(public=public) for public in (False, True)]
-    cases = [
-        *good, *(_messy(text) for text in good), _messy(ok), ok, *_HEADER_ONLY,
-        *_MALFORMED_ROWS, *_BAD_INDEX_FLAGS_AND_HEADER,
-    ]
+    bad = _REJECTED
+    cases = [*good, *(_messy(text) for text in good), _messy(_OK), _OK, *_HEADER_ONLY, *bad]
     path = tmp_path / "t.txt"
     for text in cases:
         path.write_bytes(text.encode())
         with open(path) as fh:  # read as adversary-eval reads it
             from_file = _parse_outcome(fh)
         assert from_file == _parse_outcome(text), text[:80]
-    assert sum(_parse_outcome(text)[0] == "error" for text in cases) == (
-        len(_MALFORMED_ROWS) + len(_BAD_INDEX_FLAGS_AND_HEADER)
+    assert [_parse_outcome(text)[0] == "error" for text in cases] == (
+        [False] * (len(cases) - len(bad)) + [True] * len(bad)
     )
 
 
-def _legacy(text: str) -> str:
-    """text under a version 1 header: config, mode and public only."""
-    head, _, rows = text.partition("\n")
-    kept = [tok for tok in head.split()[2:] if tok.split("=")[0] in ("config", "mode", "public")]
-    return " ".join(["# secopt-transcript", *kept]) + "\n" + rows
+def test_cli_adversary_eval_refuses_each_malformed_transcript(tmp_path, capsys) -> None:
+    path = tmp_path / "t.txt"
+    for text in _REJECTED:
+        path.write_bytes(text.encode())
+        argv = ["adversary-eval", "--transcript", str(path), "--x-star", "0.5", "--seed", "9"]
+        assert cli_main(argv) == 2, text[:80]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), text[:80]
+    path.write_bytes(_OK.encode())
+    assert cli_main(["adversary-eval", "--transcript", str(path), "--x-star", "0.5",
+                     "--seed", "9", "--samples", "10"]) == 0
 
 
 def test_header_carries_s_and_eps_adv() -> None:
-    config = ProtocolConfig(T=200, eps_adv=0.03)
-    plain = run_plain_convex(config, make_uniformly_convex(2.0, 1.0, 0.3), RngStream(3, ()))
-    assert plain.sub.max() == 6 < config.subintervals  # S cannot be read off the rows
-    back = Transcript.from_text(plain.to_text())
-    assert (back.s_count, back.eps_adv) == (config.subintervals, 0.03)
-    old = Transcript.from_text(_legacy(plain.to_text()))
-    assert (old.s_count, old.eps_adv) == (6, None)
-    assert old.points.tobytes() == back.points.tobytes() == plain.points.tobytes()
-
-
-def test_from_text_without_a_row_count_grows_in_blocks(one_block) -> None:
-    tr = _convex_run(t=6000)  # three blocks of 2,048 rows
+    tr = _run_in("NoisyBisection", 500, 0.07, seed=3)  # S = 14, eps_adv = 0.0175
     for public in (False, True):
         text = tr.to_text(public=public)
-        no_count = text.replace(f" rows={len(tr)}", "", 1)
-        assert no_count != text
-        for source in (no_count, _legacy(text)):
-            assert _parse_outcome(source)[0] == _parse_outcome(text)[0]  # the four arrays
-        assert Transcript.from_text(_legacy(text)).s_count == 10  # the largest sub code
+        fields = [tok.split("=", 1) for tok in text.partition("\n")[0].split()[2:]]
+        assert fields == [
+            ["version", "3"], *([] if public else [["config", tr.config_hash]]),
+            ["mode", "NoisyBisection"], ["public", str(int(public))],
+            ["phases", str(tr.offsets.size)], ["s", "14"], ["eps_adv", repr(0.07 / 4)],
+        ]
+        back = Transcript.from_text(text)
+        assert (back.s_count, back.eps_adv, len(back)) == (14, 0.07 / 4, len(tr))
 
 
-_V2 = "# secopt-transcript version=2 config=abc mode=Bisection public=0"
-_BAD_V2 = [
-    _V2 + " rows=3\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # fewer rows than the header says
-    _V2 + " rows=1\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # more rows
-    _V2 + " rows=2 s=2\n1,0.5,1,1,0\n2,0.25,1,3,1\n",  # sub 3 outside 1..s
-    _V2 + " s=10\n1,0.5,1,0,0\n",  # sub 0
-    _V2.replace("version=2", "version=3") + "\n",
-    *(_V2 + f" rows={value}\n" for value in ("-1", "1.5", "", "+0", "x")),
-    _V2 + " s=ten\n",
-    _V2 + f" rows={10**15}\n",  # columns no address space holds: refused at once
-    *(_V2 + f" eps_adv={value}\n" for value in ("0", "-0.1", "nan", "inf", "abc", "")),
-]
-
-
-def test_from_text_checks_the_version_2_fields(tmp_path) -> None:
+def test_from_text_refuses_versions_1_and_2(tmp_path, capsys) -> None:
+    # one row per query is no longer read: no second reader is kept beside
+    # version 3, and a seeded export-transcript writes any old file again
     path = tmp_path / "t.txt"
-    for text in _BAD_V2:
+    for name, text in _OLD_VERSIONS.items():
+        version = name.removeprefix("public ")
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            outcomes = [_parse_outcome(fh), _parse_outcome(text)]
+        for outcome in outcomes:
+            assert outcome[0] == "error" and f"transcript format {version} " in outcome[1]
+        argv = ["adversary-eval", "--transcript", str(path), "--x-star", "0.5", "--seed", "9"]
+        assert cli_main(argv) == 2
+        assert f"transcript format {version} " in capsys.readouterr().err
+
+
+def test_from_text_checks_the_version_3_fields(tmp_path) -> None:
+    path = tmp_path / "t.txt"
+    for text in _BAD_V3:
         path.write_bytes(text.encode())
         with open(path) as fh:
             assert _parse_outcome(fh)[0] == _parse_outcome(text)[0] == "error", text
-    ok = Transcript.from_text(_V2 + " rows=2 s=3 eps_adv=0.025\n1,0.5,1,1,0\n2,0.25,1,3,1\n")
-    assert (len(ok), ok.s_count, ok.eps_adv) == (2, 3, 0.025)
+    ok = Transcript.from_text(_OK.replace("eps_adv=0.04", "eps_adv=0.025"))
+    assert (len(ok), ok.s_count, ok.eps_adv, ok.config_hash) == (6, 3, 0.025, "abc")
+    public = Transcript.from_text(_PUBLIC + "1,0.25,3,1,2\n2,0.125,2,3,1\n")
+    assert (len(public), public.effective_gradients, public.config_hash) == (6, 0, "")
+
+
+def test_array_transcripts_have_no_text_form() -> None:
+    plain = run_plain_convex(ProtocolConfig(T=200), make_uniformly_convex(2.0, 1.0, 0.3),
+                             RngStream(2, ()))
+    parsed = Transcript.from_text(_convex_run(t=800).to_text())
+    for tr in (plain, parsed):
+        for public in (False, True):
+            with pytest.raises(ParameterError, match="text form"):
+                tr.to_text(public=public)
+            with pytest.raises(ParameterError, match="text form"):
+                tr.write_text(io.StringIO(), public=public)
 
 
 class _WriteRecorder:
@@ -470,14 +534,13 @@ class _WriteRecorder:
 def test_write_text_streams_in_blocks_of_rows() -> None:
     from secopt import protocol
 
-    block = protocol._TEXT_BLOCK_ROWS
-    tr = _convex_run(t=2 * block + 5000)  # two full blocks and a partial one
-    assert len(tr) > 2 * block
+    step = protocol._TEXT_BLOCK_ROWS // 10  # phases per block at S = 10
+    tr = _convex_run(t=10 * (2 * step + 500))  # two full blocks of phases and a partial one
     for public in (False, True):
         sink = _WriteRecorder()
         tr.write_text(sink, public=public)
-        assert len(sink.writes) == 1 + math.ceil(len(tr) / block)
-        assert max(text.count("\n") for text in sink.writes) == block
+        assert len(sink.writes) == 1 + 3
+        assert [text.count("\n") for text in sink.writes] == [1, step, step, 500]
         text = "".join(sink.writes)
         assert text == tr.to_text(public=public) == _reference_to_text(tr, public)
 
@@ -501,7 +564,7 @@ def test_public_view_is_read_only() -> None:
         assert source.points[0] != -99.0
     text = tr.to_text(public=True)
     assert "informative" not in text
-    assert all(line.count(",") == 3 for line in text.splitlines()[1:])
+    assert all(line.count(",") == tr.s_count + 1 for line in text.splitlines()[1:])
 
 
 def _eager_replicated_transcript(config, orders, offsets, homes):
@@ -566,25 +629,29 @@ def test_write_text_never_builds_the_query_arrays(monkeypatch) -> None:
     config = ProtocolConfig(T=3 * block + 5000, overrides={"C0": 2.0})
     tr = _convex_run(t=config.T)
     k, s = config.phases, config.subintervals
-    assert block % s and len(tr) > 3 * block  # blocks end inside phases
+    step = block // s  # phases per block
+    assert block % s and k % step and k > 3 * step  # S does not divide the block
     orders = np.argsort(tr.order_stream.generator().random((k, s)), axis=1)
-    eager = Transcript(
-        **_eager_replicated_transcript(config, orders, tr.offsets, tr.homes),
-        x_hat=tr.x_hat, effective_gradients=tr.effective_gradients,
-        config_hash=tr.config_hash, mode=tr.mode, s_count=s, eps_adv=tr.eps_adv,
-    )
+    eager = _eager_replicated_transcript(config, orders, tr.offsets, tr.homes)
+    texts = {}
     for public in (False, True):
         draws.clear()
         sink = _WriteRecorder()
         tr.write_text(sink, public=public)
-        # one draw per block, of the phases it starts: every phase once
-        assert len(draws) == math.ceil(len(tr) / block) and sum(draws) == k
+        # one draw per block of phases: every phase once
+        assert draws == [step] * (k // step) + [k % step]
         assert isinstance(tr.public_view(), PublicView)  # no K*S array was built
-        assert "".join(sink.writes) == eager.to_text(public=public)
-        assert tr.to_text(public=public) == _reference_to_text(eager, public)
+        texts[public] = "".join(sink.writes)
+        assert texts[public] == _reference_to_text(tr, public, sub=eager["sub"])
+        back = Transcript.from_text(texts[public])
+        for name, want in eager.items():
+            if public and name == "informative":
+                want = np.zeros_like(want)
+            assert getattr(back, name).tobytes() == want.tobytes(), name
     draws.clear()
-    assert tr.points.tobytes() == eager.points.tobytes()  # built from the same blocks
-    assert tr.to_text() == eager.to_text() and sum(draws) == k  # then cached
+    assert tr.points.tobytes() == eager["points"].tobytes()  # built from the same blocks
+    assert draws == [step] * (k // step) + [k % step]
+    assert tr.to_text() == texts[False]  # built arrays do not change the text
 
 
 def _run_in(mode: str, t: int, delta_adv: float, seed: int, x_star: float = 0.37) -> Transcript:
@@ -609,8 +676,10 @@ def _run_in(mode: str, t: int, delta_adv: float, seed: int, x_star: float = 0.37
     public=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-# S = 10 does not divide the 16,384-row block: four blocks, three of them end inside a phase
+# S does not divide the 16,384-query block: blocks of 1,638 phases at S = 10,
+# five of them; blocks of 2,340 phases at S = 7, four of them, the last one short
 @example(mode="ConvexEpochGD", t=65_526, delta_adv=0.1, public=False, seed=5)
+@example(mode="ConvexEpochGD", t=49_693, delta_adv=0.14, public=True, seed=6)
 def test_whole_run_text_round_trip(tmp_path, mode, t, delta_adv, public, seed) -> None:
     tr = _run_in(mode, t, delta_adv, seed)
     sink = io.StringIO()
@@ -629,7 +698,7 @@ def test_whole_run_text_round_trip(tmp_path, mode, t, delta_adv, public, seed) -
             got = getattr(back, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert (back.s_count, back.eps_adv) == (tr.s_count, delta_adv / 4)
-        assert (back.config_hash, back.mode) == (tr.config_hash, tr.mode)
+        assert (back.config_hash, back.mode) == ("" if public else tr.config_hash, tr.mode)
 
 
 def test_bisection_exact_query_counts() -> None:
