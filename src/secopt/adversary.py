@@ -91,39 +91,24 @@ def packing_ball_sample(
     return AdversaryEstimate(point=np.where(inside, nearest, x), fell_back=not inside.all())
 
 
-def _circular_agreement(offsets: np.ndarray, width: float) -> np.ndarray:
-    # counts, per offset, of offsets equal to it modulo the cluster width
-    diff = np.abs(offsets[:, None] - offsets[None, :])
-    diff = np.minimum(diff, width - diff)
-    return (diff <= _OFFSET_TOL).sum(axis=1)
-
-
 def posterior_interval_adversary(
     queries: Any, s_count: int, rng: np.random.Generator, size: int | None = None
 ) -> AdversaryEstimate:
     """Exploit the final replicated phase: its S clusters carry all posterior mass.
 
-    The last S queries should be one offset mirrored across the S subintervals;
-    the posterior over the optimizer is then uniform over the clusters, so one
-    cluster center is returned uniformly at random.  A single cluster that
-    disagrees with the common offset betrays the learner and is returned
-    outright; any other asymmetry falls back to proportional sampling.
+    The last S queries are one offset mirrored across the S subintervals; the
+    posterior over the optimizer is then uniform over the clusters, so one
+    cluster center is returned uniformly at random.  A last phase that is not
+    such a mirror (fewer than S queries, or unequal gaps, as in the plain
+    control) falls back to proportional sampling.
     """
     n = _check_queries(queries)
     if s_count < 2:
         raise ParameterError(f"s_count must be >= 2, got {s_count}")
     if n >= s_count:
         last = np.sort(queries[-s_count:])
-        gaps = np.diff(last)
-        if gaps.size and float(np.ptp(gaps)) <= _OFFSET_TOL:
+        if float(np.ptp(np.diff(last))) <= _OFFSET_TOL:
             return AdversaryEstimate(point=_pick(last, rng.integers(s_count, size=size)))
-        width = float(np.median(gaps))
-        if width > 0.0:
-            agree = _circular_agreement(np.mod(last, width), width)
-            outliers = np.nonzero(agree == 1)[0]
-            if outliers.size == 1 and np.all(agree[agree != 1] == s_count - 1):
-                point = float(last[outliers[0]])
-                return AdversaryEstimate(point=point if size is None else np.full(size, point))
     return AdversaryEstimate(point=_pick(queries, rng.integers(n, size=size)), fell_back=True)
 
 

@@ -2,13 +2,12 @@
 
 Lower bounds are order statements; the constant c is exposed so callers can
 compare against measurements without pretending the analysis pins it down.
-Upper-bound rates omit polylogarithmic factors for the same reason.
+`secopt bounds` prints them beside the matching upper rates.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .functions import HardPair
@@ -95,22 +94,10 @@ def lower_bound_convex(
             stacklevel=2,
         )
     q = (2.0 * kappa - 2.0) / kappa if error_kind == "function" else 2.0 * kappa - 2.0
-    return c * sigma * sigma * (math.log(2.0) - binary_entropy(delta)) / (delta_adv * eps ** q)
-
-
-def upper_bound_rates(T: int, delta_adv: float, kappa: float) -> tuple[float, float]:
-    """Constant-free achievable error rates at budget T:
-    function ~ (T*delta_adv)^(-kappa/(2*kappa-2)), point ~ (T*delta_adv)^(-1/(2*kappa-2))."""
-    if not kappa > 1.0:
-        raise ParameterError(f"kappa must exceed 1, got {kappa}")
-    _check_probability("delta_adv", delta_adv)
-    budget = T * delta_adv
-    if budget < 1.0:
-        warnings.warn(f"effective budget T*delta_adv = {budget:.3g} < 1", stacklevel=2)
-    return (
-        budget ** (-kappa / (2.0 * kappa - 2.0)),
-        budget ** (-1.0 / (2.0 * kappa - 2.0)),
-    )
+    scale = delta_adv * eps ** q
+    if scale == 0.0:
+        raise ParameterError(f"delta_adv * eps^q underflows to 0 (eps={eps}, q={q})")
+    return c * sigma * sigma * (math.log(2.0) - binary_entropy(delta)) / scale
 
 
 def kl_gaussian_pair(pair: HardPair, x, sigma: float) -> float:
@@ -128,67 +115,3 @@ def kl_gaussian_pair(pair: HardPair, x, sigma: float) -> float:
     if sigma == 0.0:
         return 0.0 if gap == 0.0 else math.inf
     return gap / (2.0 * sigma * sigma)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Bound values for one parameter setting, for side-by-side comparisons."""
-
-    setting: str
-    T: int
-    delta_adv: float
-    kappa: float
-    lower_bound: float
-    upper_function: float
-    upper_point: float
-    exponents: dict[str, float] = field(default_factory=dict)
-
-
-def make_rate_report(
-    setting: str,
-    T: int,
-    delta_adv: float,
-    kappa: float,
-    eps: float,
-    eps_adv: float,
-    delta: float,
-    sigma: float = 0.0,
-    p: float | None = None,
-    c: float = 1.0,
-) -> RateReport:
-    """Bundle the applicable lower bound with the upper rates at budget T.
-
-    setting: "binary" (exact signs), "noisy-binary" (needs p), or "convex"
-    (Gaussian first-order, needs sigma).
-    """
-    if setting == "binary":
-        lower = lower_bound_binary(eps, eps_adv, delta, delta_adv, c)
-    elif setting == "noisy-binary":
-        if p is None:
-            raise ParameterError("noisy-binary setting needs p")
-        lower = lower_bound_noisy(eps, eps_adv, delta, delta_adv, p, c)
-    elif setting == "convex":
-        lower = lower_bound_convex(
-            eps, delta, delta_adv, kappa, sigma, "function", c, eps_adv=eps_adv
-        )
-    else:
-        raise ParameterError(f"unknown setting {setting!r}")
-    upper_fn, upper_pt = upper_bound_rates(T, delta_adv, kappa)
-    q_fn = (2.0 * kappa - 2.0) / kappa
-    exponents = {
-        "lower_q_function": q_fn,
-        "lower_q_point": 2.0 * kappa - 2.0,
-        "upper_function": -kappa / (2.0 * kappa - 2.0),
-        "upper_point": -1.0 / (2.0 * kappa - 2.0),
-    }
-    report = RateReport(
-        setting=setting, T=int(T), delta_adv=delta_adv, kappa=kappa,
-        lower_bound=lower, upper_function=upper_fn, upper_point=upper_pt,
-        exponents=exponents,
-    )
-    if not all(
-        math.isfinite(v) and v > 0.0
-        for v in (report.lower_bound, report.upper_function, report.upper_point)
-    ):
-        raise ParameterError(f"bound values must be positive and finite: {report}")
-    return report

@@ -13,12 +13,13 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from dataclasses import fields
 
 import yaml
 
 from .adversary import ADVERSARY_ORDER, adversary_guesses
-from .bounds import make_rate_report
+from .bounds import lower_bound_binary, lower_bound_convex, lower_bound_noisy
 from .errors import ParameterError
 from .harness import (
     BatchSummary,
@@ -29,7 +30,7 @@ from .harness import (
     sweep_budget,
 )
 from .oracles import RngStream
-from .protocol import MODES, ProtocolConfig, Transcript, run_protocol
+from .protocol import ProtocolConfig, Transcript, run_protocol
 
 _CONFIG_KEYS = {f.name for f in fields(ProtocolConfig)}
 
@@ -214,19 +215,36 @@ def cmd_sweep(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace, extras: list[str]) -> int:
-    config = load_config(args.config, extras)
+    cfg = load_config(args.config, extras)
+    kappa, budget = cfg.kappa, cfg.T * cfg.delta_adv
+    if budget < 1.0:
+        warnings.warn(f"effective budget T*delta_adv = {budget:.3g} < 1")
+    # the lower bounds' eps exponents, and those of the constant-free upper
+    # rates at budget T*delta_adv (polylogarithmic factors omitted)
+    exponents = {
+        "lower_q_function": (2.0 * kappa - 2.0) / kappa,
+        "lower_q_point": 2.0 * kappa - 2.0,
+        "upper_function": -kappa / (2.0 * kappa - 2.0),
+        "upper_point": -1.0 / (2.0 * kappa - 2.0),
+    }
+    lower_args = (cfg.eps, cfg.eps_adv, cfg.delta, cfg.delta_adv)
+    rows = [
+        ("binary", "lower_bound", lower_bound_binary(*lower_args, args.c)),
+        ("noisy-binary", "lower_bound", lower_bound_noisy(*lower_args, cfg.p, args.c)),
+        ("convex", "lower_bound", lower_bound_convex(
+            cfg.eps, cfg.delta, cfg.delta_adv, kappa, cfg.sigma, c=args.c, eps_adv=cfg.eps_adv
+        )),
+        ("convex", "upper_rate_function", budget ** exponents["upper_function"]),
+        ("convex", "upper_rate_point", budget ** exponents["upper_point"]),
+    ]
+    bad = [f"{setting} {quantity}={value!r}" for setting, quantity, value in rows
+           if not (math.isfinite(value) and value > 0.0)]
+    if bad:
+        raise ParameterError(f"bound values must be positive and finite: {', '.join(bad)}")
+    rows += [("convex", f"exponent_{name}", value) for name, value in exponents.items()]
     print("setting,quantity,value")
-    for setting in ("binary", "noisy-binary", "convex"):
-        report = make_rate_report(
-            setting, config.T, config.delta_adv, config.kappa, config.eps,
-            config.eps_adv, config.delta, sigma=config.sigma, p=config.p, c=args.c,
-        )
-        print(f"{setting},lower_bound,{report.lower_bound!r}")
-        if setting == "convex":
-            print(f"{setting},upper_rate_function,{report.upper_function!r}")
-            print(f"{setting},upper_rate_point,{report.upper_point!r}")
-            for name, value in sorted(report.exponents.items()):
-                print(f"{setting},exponent_{name},{value!r}")
+    for setting, quantity, value in rows:
+        print(f"{setting},{quantity},{value!r}")
     return 0
 
 
@@ -240,13 +258,12 @@ def cmd_adversary_eval(args: argparse.Namespace, extras: list[str]) -> int:
     public = transcript.public_view()
     if len(public) == 0:
         raise ParameterError("transcript has no queries")
-    s_count = args.s_count if args.s_count is not None else transcript.s_count
     eps_adv = args.eps_adv if args.eps_adv is not None else transcript.eps_adv
     stream = RngStream(args.seed, ())
     n = args.samples
     # all samples in one call: the same guesses as n single draws
     estimates = adversary_guesses(
-        public, s_count, eps_adv,
+        public, transcript.s_count, eps_adv,
         [stream.child(i).generator() for i in range(len(ADVERSARY_ORDER))], n,
     )
     print("strategy,successes,samples,success_rate")
@@ -322,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument(
         "--eps-adv", type=float, default=None, dest="eps_adv",
         help="default: the transcript header's eps_adv",
-    )
-    p_adv.add_argument(
-        "--s-count", type=int, default=None, dest="s_count",
-        help="default: the transcript header's s",
     )
     p_adv.add_argument("--samples", type=int, default=1000)
     p_adv.add_argument("--seed", type=int, required=True)

@@ -141,11 +141,23 @@ def _crossing_radius(c0, c1, c2, eps, kappa) -> float | None:
     neg = np.nonzero(vals < 0.0)[0]
     if neg.size == 0:
         return None
-    from scipy.optimize import brentq
-
-    left = brentq(q, grid[neg[0] - 1], grid[neg[0]], xtol=1e-14)
-    right = brentq(q, grid[neg[-1]], grid[neg[-1] + 1], xtol=1e-14)
+    left = _bisect(q, grid[neg[0] - 1], grid[neg[0]])
+    right = _bisect(q, grid[neg[-1]], grid[neg[-1] + 1])
     return max(abs(left), abs(right))
+
+
+def _bisect(q: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of q within 1e-14, given q(lo) and q(hi) of opposite signs; stops
+    early when the bracket is two adjacent floats."""
+    lo_negative = q(lo) < 0.0
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-14 and lo < mid < hi:
+        if (q(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return float(mid)
 
 
 def _golden_argmin(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -380,7 +380,8 @@ def _parse_phase_rows(
     block: list[str], row_dtype: np.dtype, first: int, s_count: int
 ) -> np.ndarray:
     """One block of phase rows as a row array, numbered from first + 1; each
-    row's cells must be a permutation of 1..S, and its home must lie in 1..S."""
+    row's offset must be finite, its cells a permutation of 1..S, and its home
+    must lie in 1..S."""
     try:
         rows = np.loadtxt(block, dtype=row_dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError as exc:
@@ -392,6 +393,8 @@ def _parse_phase_rows(
         ) from None
     if not np.array_equal(rows["k"], np.arange(first + 1, first + rows.size + 1)):
         raise ParameterError("malformed transcript data: phases must be numbered 1..K in order")
+    if not np.isfinite(rows["offset"]).all():
+        raise ParameterError("malformed transcript data: every offset must be finite")
     if not np.all(np.sort(rows["cells"], axis=1) == np.arange(1, s_count + 1)):
         raise ParameterError(
             f"malformed transcript data: each phase's cells must be a permutation of 1..s={s_count}"

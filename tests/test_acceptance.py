@@ -11,32 +11,25 @@ import time
 import numpy as np
 import pytest
 
-from secopt import (
+from secopt.adversary import (
     ADVERSARY_ORDER,
-    ProtocolConfig,
-    RngStream,
-    c_of_p,
-    default_constants,
     default_packing_centers,
-    epoch_schedule,
-    export_csv,
-    instance_for_trial,
-    kl_gaussian_pair,
-    lower_bound_binary,
-    lower_bound_convex,
-    majority_repetitions,
-    make_hard_pair,
-    make_uniformly_convex,
+    packing_ball_sample,
     posterior_interval_adversary,
     proportional_sample,
-    packing_ball_sample,
-    run_batch,
+    uniform_naive,
+)
+from secopt.bounds import c_of_p, kl_gaussian_pair, lower_bound_binary, lower_bound_convex
+from secopt.epoch_gd import default_constants, epoch_schedule
+from secopt.functions import make_hard_pair, make_uniformly_convex
+from secopt.harness import export_csv, instance_for_trial, run_batch, sample_x_star, sweep_budget
+from secopt.oracles import RngStream
+from secopt.protocol import (
+    ProtocolConfig,
+    majority_repetitions,
     run_plain_convex,
     run_protocol,
-    sample_x_star,
     subinterval_index,
-    sweep_budget,
-    uniform_naive,
 )
 
 MASTER = 20260814

@@ -5,19 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from secopt import (
-    ParameterError,
+from secopt.bounds import (
     binary_entropy,
     c_of_p,
     kl_gaussian_pair,
     lower_bound_binary,
     lower_bound_convex,
     lower_bound_noisy,
-    make_hard_pair,
-    make_rate_report,
-    make_uniformly_convex,
-    upper_bound_rates,
 )
+from secopt.errors import ParameterError
+from secopt.functions import make_hard_pair, make_uniformly_convex
 
 PAIR_ARGS = dict(c0=0.5, c1=0.2, c2=1.6, eps=0.5, center=3.0)
 
@@ -127,21 +124,9 @@ def test_lower_bound_convex_validation_and_regime() -> None:
     with pytest.warns(UserWarning):
         lower_bound_convex(delta=0.05, eps_adv=0.2, **kw)  # eps_adv above delta_adv
     lower_bound_convex(delta=0.05, eps_adv=0.04, **kw)  # in regime: silent
-
-
-def test_upper_bound_rates() -> None:
-    fn, pt = upper_bound_rates(100_000, 0.1, 2.0)
-    assert fn == pytest.approx(1e-4, rel=1e-9)
-    assert pt == pytest.approx(1e-2, rel=1e-9)
-    # kappa = 3 exponents -3/4 and -1/4, probed by a 16x budget step
-    fn_lo, pt_lo = upper_bound_rates(10_000, 0.1, 3.0)
-    fn_hi, pt_hi = upper_bound_rates(160_000, 0.1, 3.0)
-    assert fn_hi / fn_lo == pytest.approx(16.0 ** -0.75, rel=1e-9)
-    assert pt_hi / pt_lo == pytest.approx(16.0 ** -0.25, rel=1e-9)
-    with pytest.warns(UserWarning):
-        upper_bound_rates(1, 0.5, 2.0)
-    with pytest.raises(ParameterError):
-        upper_bound_rates(100, 0.1, 1.0)
+    with pytest.raises(ParameterError, match="underflows"):
+        # eps^q underflows to 0.0, which once raised ZeroDivisionError
+        lower_bound_convex(delta=0.05, **dict(kw, eps=1e-300, kappa=100.0))
 
 
 def test_kl_formula_on_synthetic_members() -> None:
@@ -186,26 +171,3 @@ def test_kl_matches_monte_carlo_log_likelihood_ratio() -> None:
     y = m1 + sigma * gen.standard_normal((50_000, 2))
     log_ratio = (((y - m2) ** 2).sum(axis=1) - ((y - m1) ** 2).sum(axis=1)) / (2 * sigma**2)
     assert kl_gaussian_pair(pair, x, sigma) == pytest.approx(log_ratio.mean(), rel=0.1)
-
-
-def test_make_rate_report_settings() -> None:
-    kw = dict(T=10_000, delta_adv=0.1, kappa=2.0, eps=1e-3, eps_adv=0.02, delta=0.05)
-    rb = make_rate_report("binary", **kw)
-    assert rb.lower_bound == pytest.approx(
-        lower_bound_binary(1e-3, 0.02, 0.05, 0.1), rel=1e-12
-    )
-    rn = make_rate_report("noisy-binary", p=0.75, **kw)
-    assert rn.lower_bound == pytest.approx(rb.lower_bound / c_of_p(0.75), rel=1e-12)
-    rc = make_rate_report("convex", sigma=0.1, **kw)
-    assert rc.lower_bound > 0.0
-    assert rc.exponents == {
-        "lower_q_function": 1.0,
-        "lower_q_point": 2.0,
-        "upper_function": -1.0,
-        "upper_point": -0.5,
-    }
-    assert rc.upper_function == pytest.approx(1e-3, rel=1e-9)
-    with pytest.raises(ParameterError):
-        make_rate_report("noisy-binary", **kw)
-    with pytest.raises(ParameterError):
-        make_rate_report("quantum", **kw)

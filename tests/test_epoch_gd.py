@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secopt import (
-    DomainError,
-    ParameterError,
-    RngStream,
-    default_constants,
-    epoch_gd_solve,
-    epoch_schedule,
-    make_uniformly_convex,
-)
-from secopt.oracles import gradient_noise
+from secopt.epoch_gd import default_constants, epoch_gd_solve, epoch_schedule
+from secopt.errors import DomainError, ParameterError
+from secopt.functions import make_uniformly_convex
+from secopt.oracles import RngStream, gradient_noise
 
 
 def _solve(f, sigma, budget, delta, w, stream, overrides=None) -> float:

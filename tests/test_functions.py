@@ -2,14 +2,8 @@
 import numpy as np
 import pytest
 
-from secopt import (
-    ConstructionError,
-    DomainError,
-    ParameterError,
-    make_abs,
-    make_hard_pair,
-    make_uniformly_convex,
-)
+from secopt.errors import ConstructionError, DomainError, ParameterError
+from secopt.functions import make_abs, make_hard_pair, make_uniformly_convex
 
 # shared bowl center 3, member bowls at 3 -/+ 0.5; c2 sign decides crossing
 PAIR_ARGS = dict(c0=0.5, c1=0.2, eps=0.5, center=3.0)

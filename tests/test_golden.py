@@ -9,16 +9,11 @@ field is added or removed.
 """
 import hashlib
 
-from secopt import (
-    ProtocolConfig,
-    RngStream,
-    Transcript,
-    export_csv,
-    make_uniformly_convex,
-    run_batch,
-    run_plain_convex,
-)
 from secopt.cli import main as cli_main
+from secopt.functions import make_uniformly_convex
+from secopt.harness import export_csv, run_batch
+from secopt.oracles import RngStream
+from secopt.protocol import ProtocolConfig, Transcript, run_plain_convex
 
 
 def _sha(data: bytes) -> str:
@@ -125,3 +120,19 @@ def test_plain_control_transcript_digest() -> None:
     assert _sha(_query_bytes(tr)) == (
         "837affae6198ec67b2e7b3c7968627bfefc36042930c89c49af8c15636c1c117"
     )
+
+
+def test_bounds_stdout_digests(capsys) -> None:
+    expected = {
+        (): "3a4e8787da55cd064614ef3c6f1fa035a160a0e7b2402a037cd3a5ac565eaff2",
+        ("--eps_adv=0.02",): "767094d3de0c037759062b57d820264fe9aa96985bc3e0d5686ed819a8ed8db9",
+        ("--kappa=3", "--c", "2"): (
+            "179bc5cfedef35b158b5974bcf0317358c70472ed563cbee5f5ba32f305cfbda"
+        ),
+        ("--kappa=2.5", "--sigma=0.3", "--p=0.6"): (
+            "bdfdd38a248086868b8e0fcabdb21bcd9919509f6b848c91556e9a5665aab561"
+        ),
+    }
+    for argv, digest in expected.items():
+        assert cli_main(["bounds", *argv]) == 0
+        assert _sha(capsys.readouterr().out.encode()) == digest, argv

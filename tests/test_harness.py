@@ -6,21 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from secopt import (
-    ADVERSARY_ORDER,
+from secopt.adversary import ADVERSARY_ORDER, default_packing_centers
+from secopt.cli import build_parser, load_config
+from secopt.cli import main as cli_main
+from secopt.errors import ParameterError
+from secopt.harness import (
     CSV_HEADER,
-    ParameterError,
-    ProtocolConfig,
     TrialOutcome,
-    default_packing_centers,
     export_csv,
     run_batch,
     summarize,
     sweep_budget,
     trial_seed,
 )
-from secopt.cli import build_parser, load_config
-from secopt.cli import main as cli_main
+from secopt.protocol import ProtocolConfig
 
 
 def test_csv_header_is_frozen() -> None:
@@ -380,6 +379,17 @@ def test_cli_bounds_table(capsys) -> None:
     assert any(ln.startswith("binary,") for ln in lines)
     assert any(ln.startswith("noisy-binary,") for ln in lines)
     assert any(ln.startswith("convex,") for ln in lines)
+
+
+def test_cli_bounds_warns_and_refuses(capsys) -> None:
+    # an effective budget T*delta_adv below 1 still prints, with a warning
+    with pytest.warns(UserWarning, match="effective budget"):
+        assert cli_main(["bounds", "--delta_adv=0.4", "--eps_adv=0.1", "--T=2", "--eps=0.01"]) == 0
+    # c = 0 zeroes every lower bound; eps^q underflowing once raised ZeroDivisionError
+    for argv in (["--c", "0"], ["--eps=1e-300", "--kappa=100"]):
+        capsys.readouterr()
+        assert cli_main(["bounds", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_cli_export_then_adversary_eval(tmp_path, capsys) -> None:

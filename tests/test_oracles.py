@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from secopt import (
-    ParameterError,
-    RngStream,
-    make_abs,
-    noisy_sign_oracle,
-    sign_oracle,
-)
-from secopt.oracles import gradient_noise
+from secopt.errors import ParameterError
+from secopt.functions import make_abs
+from secopt.oracles import RngStream, gradient_noise, noisy_sign_oracle, sign_oracle
 
 
 def test_stream_replay_and_child_independence() -> None:

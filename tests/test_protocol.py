@@ -10,28 +10,23 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from secopt import (
+from secopt.cli import load_config
+from secopt.cli import main as cli_main
+from secopt.epoch_gd import epoch_gd_solve, epoch_schedule
+from secopt.errors import BudgetError, DomainError, ParameterError
+from secopt.functions import make_abs, make_hard_pair, make_uniformly_convex
+from secopt.harness import instance_for_trial
+from secopt.oracles import RngStream
+from secopt.protocol import (
     MODES,
-    BudgetError,
-    DomainError,
-    ParameterError,
     ProtocolConfig,
-    RngStream,
+    PublicView,
     Transcript,
-    epoch_gd_solve,
-    epoch_schedule,
-    instance_for_trial,
     majority_repetitions,
-    make_abs,
-    make_hard_pair,
-    make_uniformly_convex,
     run_plain_convex,
     run_protocol,
     subinterval_index,
 )
-from secopt.cli import load_config
-from secopt.cli import main as cli_main
-from secopt.protocol import PublicView
 
 
 def test_subinterval_index_examples() -> None:
@@ -352,6 +347,8 @@ _MALFORMED_ROWS = [
     "# secopt-transcript version=3 config=abc stray\n",  # header token without '='
     _PRIVATE + "1,0.25,3,1,2,1\x0c2,0.125,2,3,1,2\n",  # a form feed is no line break
     _PRIVATE + "1,0.25,3,1,2,1\u20282,0.125,2,3,1,2\n",
+    # non-finite offsets: they once parsed into NaN and infinite query points
+    *(_PRIVATE + f"1,{value},3,1,2,1\n2,0.125,2,3,1,2\n" for value in ("nan", "1e999", "-inf")),
 ]
 _BAD_PHASES_CELLS_AND_HEADER = [
     _PRIVATE + "7,0.25,3,1,2,1\n7,0.125,2,3,1,2\n",  # phases not numbered 1..K
